@@ -146,29 +146,17 @@ def _cmd_filter(args) -> int:
     if (args.cap is None) == (args.dp_target is None):
         raise _UsageError("exactly one of --cap / --dp-target is required")
     source = _session_source(args)
-    if args.cap is not None:
-        cap = _load_curve(args.cap)
-        orders = cap.orders
-        config = SessionConfig(
-            mode=FILTER,
-            orders=orders,
-            delta=args.delta,
-            seed=args.seed,
-            source=source,
-            cap=cap,
-            sealed=args.sealed,
-        )
-    else:
-        orders = _load_orders(args.orders_file)
-        config = SessionConfig(
-            mode=FILTER,
-            orders=orders,
-            delta=args.delta,
-            seed=args.seed,
-            source=source,
-            dp_target=args.dp_target,
-            sealed=args.sealed,
-        )
+    cap = _load_curve(args.cap) if args.cap is not None else None
+    config = SessionConfig(
+        mode=FILTER,
+        orders=cap.orders if cap is not None else _load_orders(args.orders_file),
+        delta=args.delta,
+        seed=args.seed,
+        source=source,
+        cap=cap,
+        dp_target=args.dp_target,
+        sealed=args.sealed,
+    )
     _emit_log(run_session(config), args)
     return 0
 

@@ -13,10 +13,8 @@ can construct it with sealed=True, which denies everything after the
 first PASS.
 """
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, TextIO, Union
 
 from rdpmeter.core import OrderSet, RdpCurve, dp_target_to_rdp_budget
 
@@ -29,23 +27,17 @@ class Decision(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FilterEvent:
-    """One decision: query index (from 1), the request, and the outcome."""
-
-    index: int
-    request: RdpCurve
-    decision: Decision
-
-
 @dataclass
 class FilterState:
-    """Single-owner mutable accountant; try_spend calls must be serialized."""
+    """Single-owner mutable accountant; try_spend calls must be serialized.
+
+    Holds only what decisions depend on; the session log is the per-query
+    record.
+    """
 
     cap: RdpCurve
     sealed: bool = False
     _spent: list[float] = field(init=False)
-    _history: list[FilterEvent] = field(init=False, default_factory=list)
     _passed_once: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -59,13 +51,9 @@ class FilterState:
     def spent(self) -> RdpCurve:
         return RdpCurve(self.cap.orders, tuple(self._spent))
 
-    @property
-    def history(self) -> tuple[FilterEvent, ...]:
-        return tuple(self._history)
-
 
 def new_filter(cap: RdpCurve, sealed: bool = False) -> FilterState:
-    """Fresh filter: nothing spent, empty history."""
+    """Fresh filter: nothing spent."""
     return FilterState(cap=cap, sealed=sealed)
 
 
@@ -99,9 +87,6 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
             state._spent[i] += r
     else:
         state._passed_once = True
-    state._history.append(
-        FilterEvent(index=len(state._history) + 1, request=request, decision=decision)
-    )
     return decision
 
 
@@ -112,51 +97,3 @@ def remaining(state: FilterState) -> RdpCurve:
         tuple(max(0.0, c - s) for c, s in zip(state.cap.values, state._spent)),
     )
 
-
-# ------------------------------------------------------------- event logs
-
-
-def event_to_json(event: FilterEvent) -> dict:
-    return {
-        "i": event.index,
-        "request": event.request.to_json(),
-        "decision": event.decision.value,
-    }
-
-
-def event_from_json(data: dict) -> FilterEvent:
-    return FilterEvent(
-        index=int(data["i"]),
-        request=RdpCurve.from_json(data["request"]),
-        decision=Decision(data["decision"]),
-    )
-
-
-def write_event_log(state: FilterState, stream: TextIO) -> None:
-    """One JSON object per line, in event order."""
-    for event in state._history:
-        stream.write(json.dumps(event_to_json(event)) + "\n")
-
-
-def replay_events(
-    cap: RdpCurve,
-    events: Iterable[Union[FilterEvent, dict]],
-    sealed: bool = False,
-) -> FilterState:
-    """Reconstruct a filter by re-running every logged request.
-
-    Decisions are recomputed, not trusted: a logged decision that
-    disagrees with the recomputation means the log and the cap do not
-    belong together, and that is an error.
-    """
-    state = new_filter(cap, sealed=sealed)
-    for event in events:
-        if isinstance(event, dict):
-            event = event_from_json(event)
-        got = try_spend(state, event.request)
-        if got is not event.decision:
-            raise ValueError(
-                f"event {event.index}: log says {event.decision.value}, "
-                f"replay decides {got.value}"
-            )
-    return state

@@ -3,18 +3,19 @@ adversaries or replayed budget schedules, logs every event, and exports
 plot-ready traces.
 
 A session log is a list of JSON-serializable records. The first record is
-a header carrying the configuration; each following record is one query.
-Logs reconstruct their final accountant state exactly: replay re-executes
-every recorded request and cross-checks the recorded decisions and bounds,
-so a log that replays cleanly is internally consistent.
+a header carrying the configuration; each following record is one query,
+numbered "i" by its position from 1. Accountants keep only their running
+state, so the log is the one per-query record and this module the one
+place that knows its format. `reconstruct`, the one replay, re-executes
+every recorded request and cross-checks header, numbering, decisions and
+bounds, so a log that replays cleanly is internally consistent.
 """
 
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from rdpmeter.core import OrderSet, RdpCurve, curve_add, default_order_set
 from rdpmeter.filters import (
     Decision,
     FilterState,
-    event_from_json,
-    event_to_json,
     new_filter,
     new_filter_from_dp_target,
     try_spend,
@@ -102,16 +101,11 @@ class PolicySpec:
     scale one increment, but only while at least min_remaining_epochs more
     epochs fit under the cap at the current rate. Anything less walks the
     noise scale back down, never below the baseline (or sigma_floor).
-    batch_increment/batch_floor record the batch-size variant of the rule;
-    batch size feeds budgets only through caller-supplied curves, so the
-    simulator itself adapts noise.
     """
 
     period_epochs: int = 10
     threshold_sigmas: float = 3.0
     sigma_increment: float = 0.1
-    batch_increment: int = 128
-    batch_floor: int = 256
     eval_sigma: float = 100.0
     sigma_floor: Optional[float] = None
     sigma_ceiling: Optional[float] = None
@@ -120,8 +114,8 @@ class PolicySpec:
     def __post_init__(self):
         if self.period_epochs < 1:
             raise ValueError("period_epochs must be >= 1")
-        if self.sigma_increment <= 0.0 or self.batch_increment <= 0:
-            raise ValueError("increments must be positive")
+        if self.sigma_increment <= 0.0:
+            raise ValueError("sigma_increment must be positive")
         if self.threshold_sigmas < 0.0:
             raise ValueError("threshold_sigmas must be >= 0")
         if self.eval_sigma <= 0.0:
@@ -129,22 +123,14 @@ class PolicySpec:
         if self.min_remaining_epochs < 0:
             raise ValueError("min_remaining_epochs must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "period_epochs": self.period_epochs,
-            "threshold_sigmas": self.threshold_sigmas,
-            "sigma_increment": self.sigma_increment,
-            "batch_increment": self.batch_increment,
-            "batch_floor": self.batch_floor,
-            "eval_sigma": self.eval_sigma,
-            "sigma_floor": self.sigma_floor,
-            "sigma_ceiling": self.sigma_ceiling,
-            "min_remaining_epochs": self.min_remaining_epochs,
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "PolicySpec":
-        return cls(**{k: data[k] for k in data})
+        if not isinstance(data, dict):
+            raise ValueError("policy must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown policy keys: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -250,7 +236,13 @@ def run_session(config: SessionConfig) -> SessionLog:
         # returns the filter decision so script walks can branch on denial
         if config.mode == FILTER:
             decision = try_spend(state, request)
-            records.append(event_to_json(state.history[-1]))
+            records.append(
+                {
+                    "i": len(records),
+                    "request": request.to_json(),
+                    "decision": decision.value,
+                }
+            )
             return decision
         spend(state, request)
         records.append(
@@ -283,55 +275,75 @@ def run_session(config: SessionConfig) -> SessionLog:
 def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
     """Rebuild the final accountant state by re-executing the log.
 
-    Recorded decisions, filter indices, and bounds are cross-checked
-    against the re-execution; any disagreement raises.
+    The header must agree with a fresh accountant (a filter's cap with its
+    dp_target, an odometer's bound with its orders and delta), each record
+    must carry its position as "i", and recorded decisions, filter
+    indices, and bounds are cross-checked against the re-execution; any
+    disagreement raises. A log cut after a whole record still replays.
     """
     header = log.header
     kind = header.get("kind")
     if kind == FILTER:
         cap = RdpCurve.from_json(header["cap"])
+        if "dp_target" in header and cap != new_filter_from_dp_target(
+            float(header["dp_target"]),
+            float(header["delta"]),
+            OrderSet(header["orders"]),
+        ).cap:
+            raise ValueError("header cap is not the cap its dp_target yields")
         state = new_filter(cap, sealed=bool(header.get("sealed", False)))
-        for record in log.events:
-            event = event_from_json(record)
-            got = try_spend(state, event.request)
-            if got is not event.decision:
+    elif kind == ODOMETER:
+        state = new_odometer(float(header["delta"]), OrderSet(header["orders"]))
+        if _bound_to_json(running_bound(state)) != header.get("bound"):
+            raise ValueError("header bound is not a fresh odometer's bound")
+    else:
+        raise ValueError(f"unknown session kind {kind!r}")
+    for i, record in enumerate(log.events, start=1):
+        if record.get("i") != i:
+            raise ValueError(f"record {i} is numbered {record.get('i')!r}")
+        request = RdpCurve.from_json(record["request"])
+        if kind == FILTER:
+            got = try_spend(state, request)
+            if got.value != record["decision"]:
                 raise ValueError(
-                    f"event {event.index}: log says {event.decision.value}, "
+                    f"event {i}: log says {record['decision']}, "
                     f"replay decides {got.value}"
                 )
-        return state
-    if kind == ODOMETER:
-        state = new_odometer(float(header["delta"]), OrderSet(header["orders"]))
-        for record in log.events:
-            spend(state, RdpCurve.from_json(record["request"]))
+        else:
+            spend(state, request)
             if _f_per_alpha(state) != {
                 k: int(v) for k, v in record["f_per_alpha"].items()
             }:
-                raise ValueError(f"event {record['i']}: filter indices diverge")
+                raise ValueError(f"event {i}: filter indices diverge")
             if _bound_to_json(running_bound(state)) != record["bound"]:
-                raise ValueError(f"event {record['i']}: running bound diverges")
-        return state
-    raise ValueError(f"unknown session kind {kind!r}")
+                raise ValueError(f"event {i}: running bound diverges")
+    return state
 
 
 # ---------------------------------------------------------------- replays
 
 
-def replay_schedule(schedule: ScheduleReplay, orders: OrderSet) -> list[RdpCurve]:
-    """Cumulative spent curve after each query of the expanded schedule."""
-    trace: list[RdpCurve] = []
+def _running_totals(schedule: ScheduleReplay, orders: OrderSet) -> Iterator[RdpCurve]:
+    # the one accumulation loop, so the trace and the total agree bit for bit
     total = RdpCurve.zeros(orders)
     for step in schedule.steps:
         request = mechanism_rdp_curve(step.mech, orders)
         for _ in range(step.count):
             total = curve_add(total, request)
-            trace.append(total)
-    return trace
+            yield total
+
+
+def replay_schedule(schedule: ScheduleReplay, orders: OrderSet) -> list[RdpCurve]:
+    """Cumulative spent curve after each query of the expanded schedule."""
+    return list(_running_totals(schedule, orders))
 
 
 def schedule_total(schedule: ScheduleReplay, orders: OrderSet) -> RdpCurve:
-    trace = replay_schedule(schedule, orders)
-    return trace[-1] if trace else RdpCurve.zeros(orders)
+    """Last entry of replay_schedule, without keeping the trace."""
+    total = RdpCurve.zeros(orders)
+    for total in _running_totals(schedule, orders):
+        pass
+    return total
 
 
 def simulate_policy(

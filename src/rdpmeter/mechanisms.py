@@ -98,7 +98,6 @@ class RawCurve:
 
 
 Mechanism = Union[GaussianMechanism, DiscreteMechanism, RawCurve]
-MechanismSpec = Mechanism
 
 
 def gaussian_rdp_curve(mech: GaussianMechanism, orders: OrderSet) -> RdpCurve:

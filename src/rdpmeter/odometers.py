@@ -83,12 +83,6 @@ class FilterSchedule:
 
 
 @dataclass(frozen=True)
-class OdometerEvent:
-    index: int
-    request: RdpCurve
-
-
-@dataclass(frozen=True)
 class RunningBound:
     """A DP statement valid at any stopping time, with its witnesses."""
 
@@ -102,14 +96,15 @@ class OdometerState:
     """Single-owner mutable accountant; spend calls must be serialized.
 
     Unlike a filter, an odometer never refuses: every request is added
-    unconditionally and the running bound grows to cover it.
+    unconditionally and the running bound grows to cover it. Holds only
+    spent, the rung per order and the step count; the session log is the
+    per-query record.
     """
 
     def __init__(self, schedule: FilterSchedule):
         self.schedule = schedule
         self._spent = [0.0] * len(schedule.orders)
         self._f = [1] * len(schedule.orders)
-        self._history: list[OdometerEvent] = []
         self.step = 0
 
     @property
@@ -119,10 +114,6 @@ class OdometerState:
     @property
     def spent(self) -> RdpCurve:
         return RdpCurve(self.schedule.orders, tuple(self._spent))
-
-    @property
-    def history(self) -> tuple[OdometerEvent, ...]:
-        return tuple(self._history)
 
 
 def new_odometer(delta: float, orders: OrderSet) -> OdometerState:
@@ -153,7 +144,6 @@ def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
     state._spent = new_spent
     state._f = new_f
     state.step += 1
-    state._history.append(OdometerEvent(index=state.step, request=request))
     return state
 
 

@@ -290,6 +290,30 @@ class TestPolicyCommand:
         assert code == 1
         assert "list" in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"bogus": 3}, "unknown policy keys: bogus"), ([1, 2], "JSON object")],
+    )
+    def test_malformed_policy_is_a_validation_error(
+        self, files, capsys, tmp_path, payload, message
+    ):
+        bad = tmp_path / "bad_policy.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(
+            [
+                "policy",
+                "--base", files["base.json"],
+                "--signal", files["signal.json"],
+                "--policy", str(bad),
+                "--orders-file", files["orders.json"],
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestOracleCommands:
     def test_verify_filter_passes(self, files, capsys):

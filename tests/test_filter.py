@@ -1,5 +1,4 @@
-import io
-import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,16 +6,21 @@ from hypothesis import given, settings, strategies as st
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp
 from rdpmeter.filters import (
     Decision,
-    FilterEvent,
-    event_from_json,
-    event_to_json,
     new_filter,
     new_filter_from_dp_target,
     remaining,
-    replay_events,
     try_spend,
-    write_event_log,
 )
+from rdpmeter.harness import (
+    FILTER,
+    ScheduleReplay,
+    ScheduleStep,
+    SessionConfig,
+    SessionLog,
+    reconstruct,
+    run_session,
+)
+from rdpmeter.mechanisms import RawCurve
 
 
 def curve(**kv):
@@ -29,7 +33,6 @@ def curve(**kv):
 def test_fresh_filter_state():
     f = new_filter(curve(a2=1.0))
     assert f.spent.is_zero()
-    assert f.history == ()
     assert remaining(f) == f.cap
 
 
@@ -42,13 +45,7 @@ def test_single_order_grant_pass_sequence():
     assert f.spent.value(2.0) == pytest.approx(0.9)
     # later smaller request fits again
     assert try_spend(f, curve(a2=0.1)) is Decision.GRANT
-    assert [e.decision.value for e in f.history] == [
-        "GRANT",
-        "GRANT",
-        "PASS",
-        "GRANT",
-    ]
-    assert [e.index for e in f.history] == [1, 2, 3, 4]
+    assert f.spent.value(2.0) == pytest.approx(1.0)
 
 
 def test_two_order_grant_needs_only_one_surviving_order():
@@ -178,48 +175,80 @@ def test_safety_under_ten_thousand_random_requests():
 
 def test_spent_equals_sum_of_granted_requests():
     f = new_filter(curve(a2=1.0, a4=2.0))
-    for v in (0.3, 0.9, 0.4, 0.2):
-        try_spend(f, curve(a2=v, a4=v / 2.0))
     total = [0.0, 0.0]
-    for e in f.history:
-        if e.decision is Decision.GRANT:
-            total[0] += e.request.values[0]
-            total[1] += e.request.values[1]
+    decisions = []
+    for v in (0.3, 0.9, 0.4, 0.2):
+        request = curve(a2=v, a4=v * 2.0)
+        decisions.append(try_spend(f, request))
+        if decisions[-1] is Decision.GRANT:
+            total[0] += request.values[0]
+            total[1] += request.values[1]
+    assert Decision.PASS in decisions
     assert f.spent.values == tuple(total)
 
 
-# ------------------------------------------------------------- event logs
+def test_state_does_not_grow_with_queries():
+    # decisions need only cap, spent and the sealed flag; the per-query
+    # record is the session log, so the accountant itself stays flat
+    orders = OrderSet([2.0, 4.0, 8.0])
+    f = new_filter(RdpCurve(orders, (1.0, 2.0, 3.0)))
+    request = RdpCurve(orders, (1e-4, 2e-4, 4e-4))
+    for _ in range(100):
+        try_spend(f, request)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            try_spend(f, request)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
+
+
+# ------------------------------------------------------------ session logs
+
+
+def _session(cap: RdpCurve, *values: float) -> SessionLog:
+    steps = tuple(ScheduleStep(RawCurve(curve(a2=v))) for v in values)
+    return run_session(
+        SessionConfig(
+            mode=FILTER,
+            orders=cap.orders,
+            delta=1e-5,
+            seed=0,
+            source=ScheduleReplay(steps=steps),
+            cap=cap,
+        )
+    )
 
 
 def test_event_log_round_trip_and_replay():
-    f = new_filter(curve(a2=1.0))
-    for v in (0.4, 0.5, 0.2, 0.1):
-        try_spend(f, curve(a2=v))
-    buf = io.StringIO()
-    write_event_log(f, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 4
-    events = [event_from_json(json.loads(line)) for line in lines]
-    rebuilt = replay_events(f.cap, events)
-    assert rebuilt.spent.values == f.spent.values
-    assert [e.decision for e in rebuilt.history] == [e.decision for e in f.history]
+    log = _session(curve(a2=1.0), 0.4, 0.5, 0.2, 0.1)
+    assert [r["decision"] for r in log.events] == ["GRANT", "GRANT", "PASS", "GRANT"]
+    assert [r["i"] for r in log.events] == [1, 2, 3, 4]
+    rebuilt = reconstruct(SessionLog.from_jsonl(log.to_jsonl()))
+    assert rebuilt.spent.values == log.final_state.spent.values
 
 
 def test_replay_rejects_inconsistent_log():
-    event = FilterEvent(1, curve(a2=5.0), Decision.GRANT)
-    with pytest.raises(ValueError):
-        replay_events(curve(a2=1.0), [event, event])  # second grant impossible
+    log = _session(curve(a2=1.0), 0.4, 0.4)
+    record = {"request": curve(a2=5.0).to_json(), "decision": "GRANT"}
+    log.records[1:] = [dict(record, i=1), dict(record, i=2)]
+    with pytest.raises(ValueError, match="replay decides"):
+        reconstruct(log)  # second grant impossible
 
 
 def test_event_json_schema():
-    e = FilterEvent(3, curve(a2=0.25), Decision.PASS)
-    data = event_to_json(e)
-    assert data == {
+    log = _session(curve(a2=1.0), 0.4, 0.5, 0.25)
+    assert log.records[3] == {
         "i": 3,
         "request": {"orders": [2.0], "eps": [0.25]},
         "decision": "PASS",
     }
-    assert event_from_json(data) == e
+    assert log.to_jsonl().splitlines()[3] == (
+        '{"i": 3, "request": {"orders": [2.0], "eps": [0.25]}, "decision": "PASS"}'
+    )
 
 
 # ----------------------------------------------- dp-target round trip

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -257,13 +258,16 @@ class TestReconstruct:
             cap=_req(1.0),
         )
         log = run_session(config)
+        assert [r["decision"] for r in log.events] == [
+            "GRANT",
+            "GRANT",
+            "PASS",
+            "GRANT",
+        ]
         rebuilt = reconstruct(SessionLog.from_jsonl(log.to_jsonl()))
         live = log.final_state
         assert rebuilt.spent.values == live.spent.values
         assert rebuilt.cap == live.cap
-        assert [e.decision for e in rebuilt.history] == [
-            e.decision for e in live.history
-        ]
 
     def test_odometer_log_reconstructs_exactly(self):
         config = SessionConfig(
@@ -306,6 +310,64 @@ class TestReconstruct:
         log.records[-1]["bound"]["eps"] *= 0.5
         with pytest.raises(ValueError, match="bound diverges"):
             reconstruct(log)
+
+    def test_records_must_be_numbered_by_position(self):
+        config = SessionConfig(
+            mode=FILTER,
+            orders=ORDERS2,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(3, sigma=100.0),
+            cap=_req(1.0),
+        )
+        log = run_session(config)
+        for record, i in zip(log.events, (1, 7, 1)):
+            record["i"] = i
+        with pytest.raises(ValueError, match="record 2 is numbered 7"):
+            reconstruct(log)
+
+    def test_tampered_header_bound_is_rejected(self):
+        config = SessionConfig(
+            mode=ODOMETER,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(2),
+        )
+        log = run_session(config)
+        log.header["bound"]["eps"] *= 0.5
+        with pytest.raises(ValueError, match="header bound"):
+            reconstruct(log)
+
+    def test_cap_that_dp_target_does_not_yield_is_rejected(self):
+        config = SessionConfig(
+            mode=FILTER,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(2, sigma=100.0),
+            dp_target=5.0,
+        )
+        log = run_session(config)
+        reconstruct(log)
+        log.header["dp_target"] = 6.0
+        with pytest.raises(ValueError, match="dp_target"):
+            reconstruct(log)
+
+    def test_log_cut_after_a_record_still_replays(self):
+        for mode, cap in ((FILTER, _req(1.0)), (ODOMETER, None)):
+            config = SessionConfig(
+                mode=mode,
+                orders=ORDERS2,
+                delta=1e-5,
+                seed=0,
+                source=chain_script(),
+                cap=cap,
+            )
+            text = run_session(config).to_jsonl()
+            lines = text.splitlines(keepends=True)
+            for n in range(1, len(lines) + 1):
+                reconstruct(SessionLog.from_jsonl("".join(lines[:n])))
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown session kind"):
@@ -370,8 +432,10 @@ class TestPolicySpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             PolicySpec(sigma_increment=0.0)
-        with pytest.raises(ValueError):
-            PolicySpec(batch_increment=0)
+        with pytest.raises(ValueError, match="unknown policy keys: batch_increment"):
+            PolicySpec.from_json({"batch_increment": 0})
+        with pytest.raises(ValueError, match="JSON object"):
+            PolicySpec.from_json([1, 2])
         with pytest.raises(ValueError):
             PolicySpec(min_remaining_epochs=-1)
         with pytest.raises(ValueError):
@@ -383,7 +447,8 @@ class TestPolicySpec:
 
     def test_json_round_trip(self):
         spec = PolicySpec(period_epochs=5, sigma_ceiling=3.0)
-        assert PolicySpec.from_json(spec.to_json()) == spec
+        text = json.dumps(dataclasses.asdict(spec))
+        assert PolicySpec.from_json(json.loads(text)) == spec
 
 
 class TestSimulatePolicy:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,7 +66,25 @@ def test_spend_accumulates_and_never_refuses():
         spend(state, curve(orders, 100.0))  # far beyond any filter cap
     assert state.spent.value(2.0) == 300.0
     assert state.step == 3
-    assert len(state.history) == 3
+
+
+def test_state_does_not_grow_with_queries():
+    # the bound needs only spent and the rung per order; the per-query
+    # record is the session log, so the accountant itself stays flat
+    orders = default_order_set()
+    state = new_odometer(DELTA, orders)
+    request = RdpCurve(orders, tuple(1e-6 * a for a in orders))
+    for _ in range(100):
+        spend(state, request)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            spend(state, request)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
 
 
 def test_zero_spend_changes_nothing_but_the_step():
