@@ -140,6 +140,8 @@ def dp_target_to_rdp_budget(
         raise ValueError(f"eps_dp must be > 0, got {eps_dp}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not math.isfinite(1.0 / delta):
+        raise ValueError(f"delta {delta} is too small: ln(1/delta) overflows")
     log_term = math.log(1.0 / delta)
     budgets = []
     for alpha in orders:

@@ -2,19 +2,20 @@
 adversaries or replayed budget schedules, logs every event, and exports
 plot-ready traces.
 
-A session log is a list of JSON-serializable records. The first record is
-a header carrying the configuration; each following record is one query,
-numbered "i" by its position from 1. Accountants keep only their running
-state, so the log is the one per-query record and this module the one
-place that knows its format. `reconstruct`, the one replay, re-executes
-every recorded request and cross-checks header, numbering, decisions and
+A session log is JSONL text: the first line is a header carrying the
+configuration; each following line is one query record, numbered "i" by
+its position from 1. Accountants keep only their running state, so the
+log is the one per-query record and this module the one place that
+knows its format. `reconstruct`, the one replay, re-executes every
+recorded request and cross-checks header, numbering, decisions and
 bounds, so a log that replays cleanly is internally consistent.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -112,6 +113,16 @@ class PolicySpec:
     min_remaining_epochs: int = 50
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if f.type is int:
+                kind, what = int, "an integer"
+            else:
+                kind, what = Real, "a real number"
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.period_epochs < 1:
             raise ValueError("period_epochs must be >= 1")
         if self.sigma_increment <= 0.0:
@@ -169,12 +180,33 @@ class SessionConfig:
             raise ValueError("script and config use different order sets")
 
 
-@dataclass
 class SessionLog:
-    records: list[dict]
-    final_state: Union[FilterState, OdometerState, None] = field(
-        default=None, compare=False
-    )
+    """A session's JSONL text and, for a live run, its final accountant.
+
+    The text is the log. `records` (and `header`, `events`) is a view
+    parsed from it on first access and then kept: editing the view
+    changes what `reconstruct` checks, never `to_jsonl()`.
+    """
+
+    def __init__(
+        self,
+        text: str,
+        final_state: Union[FilterState, OdometerState, None] = None,
+    ):
+        self._text = text
+        self._records: Optional[list[dict]] = None
+        self.final_state = final_state
+
+    @property
+    def records(self) -> list[dict]:
+        if self._records is None:
+            records = [
+                json.loads(line) for line in self._text.splitlines() if line.strip()
+            ]
+            if not records:
+                raise ValueError("session log is empty")
+            self._records = records
+        return self._records
 
     @property
     def header(self) -> dict:
@@ -185,14 +217,13 @@ class SessionLog:
         return self.records[1:]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r) + "\n" for r in self.records)
+        return self._text
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionLog":
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-        if not records:
-            raise ValueError("session log is empty")
-        return cls(records=records)
+        log = cls(text)
+        log.records  # parse now, so malformed JSON fails at load
+        return log
 
 
 def _bound_to_json(b: RunningBound) -> dict:
@@ -205,8 +236,17 @@ def _f_per_alpha(state: OdometerState) -> dict:
     }
 
 
+_DECISION_JSON = {d: json.dumps(d.value) for d in Decision}
+
+
 def run_session(config: SessionConfig) -> SessionLog:
-    """Execute the interaction loop; deterministic given the seed."""
+    """Execute the interaction loop; deterministic given the seed.
+
+    Each record line is written as json.dumps would write the record,
+    from fragments that are each encoded by json.dumps only when they
+    change: the request once per schedule step or script node, an
+    odometer's f_per_alpha only when a rung moved.
+    """
     rng = np.random.default_rng(config.seed)
     header: dict = {
         "kind": config.mode,
@@ -230,35 +270,40 @@ def run_session(config: SessionConfig) -> SessionLog:
     else:
         state = new_odometer(config.delta, config.orders)
         header["bound"] = _bound_to_json(running_bound(state))
-    records = [header]
+    lines = [json.dumps(header) + "\n"]
 
-    def on_request(request: RdpCurve) -> Optional[str]:
-        # returns the filter decision so script walks can branch on denial
-        if config.mode == FILTER:
+    if config.mode == FILTER:
+
+        def on_request(request: RdpCurve, request_json: str) -> Optional[Decision]:
+            # returns the decision so script walks can branch on denial
             decision = try_spend(state, request)
-            records.append(
-                {
-                    "i": len(records),
-                    "request": request.to_json(),
-                    "decision": decision.value,
-                }
+            lines.append(
+                f'{{"i": {len(lines)}, "request": {request_json}, '
+                f'"decision": {_DECISION_JSON[decision]}}}\n'
             )
             return decision
-        spend(state, request)
-        records.append(
-            {
-                "i": state.step,
-                "request": request.to_json(),
-                "f_per_alpha": _f_per_alpha(state),
-                "bound": _bound_to_json(running_bound(state)),
-            }
-        )
-        return None
+
+    else:
+        rungs: Optional[list[int]] = None
+        rungs_json = ""
+
+        def on_request(request: RdpCurve, request_json: str) -> Optional[Decision]:
+            nonlocal rungs, rungs_json
+            spend(state, request)
+            if state._f != rungs:
+                rungs = list(state._f)
+                rungs_json = json.dumps(_f_per_alpha(state))
+            bound_json = json.dumps(_bound_to_json(running_bound(state)))
+            lines.append(
+                f'{{"i": {state.step}, "request": {request_json}, '
+                f'"f_per_alpha": {rungs_json}, "bound": {bound_json}}}\n'
+            )
+            return None
 
     if isinstance(config.source, AdversaryScript):
         node = config.source.root
         while node is not None:
-            decision = on_request(node.request)
+            decision = on_request(node.request, json.dumps(node.request.to_json()))
             if decision is Decision.PASS:
                 outcome = BOTTOM
             else:
@@ -267,9 +312,23 @@ def run_session(config: SessionConfig) -> SessionLog:
     else:
         for step in config.source.steps:
             request = mechanism_rdp_curve(step.mech, config.orders)
+            request_json = json.dumps(request.to_json())
             for _ in range(step.count):
-                on_request(request)
-    return SessionLog(records=records, final_state=state)
+                on_request(request, request_json)
+    return SessionLog("".join(lines), final_state=state)
+
+
+def _read(where: str, record: dict, key: str, parse=None):
+    """record[key], parsed; a missing key or a value parse cannot take
+    raises a one-line ValueError naming where it is."""
+    if key not in record:
+        raise ValueError(f"{where} has no {key!r}")
+    if parse is None:
+        return record[key]
+    try:
+        return parse(record[key])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 
 def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
@@ -279,43 +338,51 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
     dp_target, an odometer's bound with its orders and delta), each record
     must carry its position as "i", and recorded decisions, filter
     indices, and bounds are cross-checked against the re-execution; any
-    disagreement raises. A log cut after a whole record still replays.
+    disagreement, and any line that is not an object with the keys its
+    kind needs, raises ValueError. A log cut after a whole record still
+    replays.
     """
     header = log.header
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
     kind = header.get("kind")
     if kind == FILTER:
-        cap = RdpCurve.from_json(header["cap"])
+        cap = _read("header", header, "cap", RdpCurve.from_json)
         if "dp_target" in header and cap != new_filter_from_dp_target(
-            float(header["dp_target"]),
-            float(header["delta"]),
-            OrderSet(header["orders"]),
+            _read("header", header, "dp_target", float),
+            _read("header", header, "delta", float),
+            _read("header", header, "orders", OrderSet),
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
         state = new_filter(cap, sealed=bool(header.get("sealed", False)))
     elif kind == ODOMETER:
-        state = new_odometer(float(header["delta"]), OrderSet(header["orders"]))
+        state = new_odometer(
+            _read("header", header, "delta", float),
+            _read("header", header, "orders", OrderSet),
+        )
         if _bound_to_json(running_bound(state)) != header.get("bound"):
             raise ValueError("header bound is not a fresh odometer's bound")
     else:
         raise ValueError(f"unknown session kind {kind!r}")
     for i, record in enumerate(log.events, start=1):
+        where = f"record {i}"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} is not a JSON object")
         if record.get("i") != i:
-            raise ValueError(f"record {i} is numbered {record.get('i')!r}")
-        request = RdpCurve.from_json(record["request"])
+            raise ValueError(f"{where} is numbered {record.get('i')!r}")
+        request = _read(where, record, "request", RdpCurve.from_json)
         if kind == FILTER:
+            decision = _read(where, record, "decision")
             got = try_spend(state, request)
-            if got.value != record["decision"]:
+            if got.value != decision:
                 raise ValueError(
-                    f"event {i}: log says {record['decision']}, "
-                    f"replay decides {got.value}"
+                    f"event {i}: log says {decision}, replay decides {got.value}"
                 )
         else:
             spend(state, request)
-            if _f_per_alpha(state) != {
-                k: int(v) for k, v in record["f_per_alpha"].items()
-            }:
+            if _f_per_alpha(state) != _read(where, record, "f_per_alpha"):
                 raise ValueError(f"event {i}: filter indices diverge")
-            if _bound_to_json(running_bound(state)) != record["bound"]:
+            if _bound_to_json(running_bound(state)) != _read(where, record, "bound"):
                 raise ValueError(f"event {i}: running bound diverges")
     return state
 

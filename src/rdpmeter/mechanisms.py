@@ -86,9 +86,6 @@ class DiscreteMechanism:
                 values[top] += residue
         return tuple(values)
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(x for x, p in zip(self.outcomes, self.p0) if p > 0.0)
-
 
 @dataclass(frozen=True)
 class RawCurve:

@@ -31,6 +31,13 @@ def _log_arg(m: int, f: int, delta: float) -> float:
     return 2.0 * m * f * f / delta
 
 
+def _check_log_arg(m: int, f: int, delta: float) -> None:
+    if not math.isfinite(_log_arg(m, f, delta)):
+        raise ValueError(
+            f"delta {delta} is too small: ln(2*{m}*{f}^2/delta) overflows"
+        )
+
+
 @dataclass(frozen=True)
 class FilterSchedule:
     """Doubling ladder of per-order budget levels."""
@@ -44,6 +51,7 @@ class FilterSchedule:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         m = len(self.orders)
+        _check_log_arg(m, MAX_FILTER_INDEX, self.delta)
         base = tuple(
             math.log(_log_arg(m, 1, self.delta)) / (alpha - 1.0)
             for alpha in self.orders
@@ -216,6 +224,7 @@ def early_stopping_bound(
         if curve.orders.orders != orders.orders:
             raise ValueError("step budgets must share one order set")
     m = len(orders)
+    _check_log_arg(m, s, delta)
     log_num = math.log(_log_arg(m, s, delta))
     best = math.inf
     best_alpha = None

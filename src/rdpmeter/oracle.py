@@ -75,15 +75,6 @@ class AdversaryScript:
     def orders(self) -> Optional[OrderSet]:
         return None if self.root is None else self.root.request.orders
 
-    def depth(self) -> int:
-        return _depth(self.root)
-
-
-def _depth(node: Optional[ScriptNode]) -> int:
-    if node is None:
-        return 0
-    return 1 + max((_depth(c) for c in node.children.values()), default=0)
-
 
 def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
     if depth > MAX_DEPTH:

@@ -292,7 +292,11 @@ class TestPolicyCommand:
 
     @pytest.mark.parametrize(
         "payload, message",
-        [({"bogus": 3}, "unknown policy keys: bogus"), ([1, 2], "JSON object")],
+        [
+            ({"bogus": 3}, "unknown policy keys: bogus"),
+            ([1, 2], "JSON object"),
+            ({"period_epochs": "10"}, "period_epochs must be an integer"),
+        ],
     )
     def test_malformed_policy_is_a_validation_error(
         self, files, capsys, tmp_path, payload, message

@@ -242,6 +242,14 @@ def test_dp_target_validates_inputs():
         dp_target_to_rdp_budget(1.0, 0.0, OrderSet([2.0]))
 
 
+def test_dp_target_rejects_a_delta_whose_log_overflows():
+    # 1/1e-320 is not finite; the budget would silently clamp to zero
+    with pytest.raises(ValueError, match="too small"):
+        dp_target_to_rdp_budget(5.0, 1e-320, OrderSet([2.0, 32.0]))
+    budget = dp_target_to_rdp_budget(700.0, 1e-300, OrderSet([2.0]))
+    assert budget.value(2.0) == 700.0 - math.log(1.0 / 1e-300)
+
+
 @given(
     st.floats(min_value=1e-3, max_value=50.0, allow_nan=False),
     st.floats(min_value=1e-12, max_value=0.5, allow_nan=False),

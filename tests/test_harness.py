@@ -371,7 +371,161 @@ class TestReconstruct:
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown session kind"):
-            reconstruct(SessionLog(records=[{"kind": "ledger"}]))
+            reconstruct(SessionLog.from_jsonl('{"kind": "ledger"}\n'))
+
+    @staticmethod
+    def _records(mode):
+        config = SessionConfig(
+            mode=mode,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(2, sigma=100.0),
+            dp_target=5.0 if mode == FILTER else None,
+        )
+        return run_session(config).records
+
+    @staticmethod
+    def _rejected(records, message):
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        with pytest.raises(ValueError, match=message) as info:
+            reconstruct(SessionLog.from_jsonl(text))
+        assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [
+            (FILTER, "cap"),
+            (FILTER, "delta"),
+            (FILTER, "orders"),
+            (ODOMETER, "delta"),
+            (ODOMETER, "orders"),
+        ],
+    )
+    def test_header_missing_a_key_is_rejected(self, mode, key):
+        records = self._records(mode)
+        del records[0][key]
+        self._rejected(records, f"header has no '{key}'")
+
+    @pytest.mark.parametrize(
+        "mode, key",
+        [
+            (FILTER, "request"),
+            (FILTER, "decision"),
+            (ODOMETER, "request"),
+            (ODOMETER, "f_per_alpha"),
+            (ODOMETER, "bound"),
+        ],
+    )
+    def test_record_missing_a_key_is_rejected(self, mode, key):
+        records = self._records(mode)
+        del records[2][key]
+        self._rejected(records, f"record 2 has no '{key}'")
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_line_that_is_not_an_object_is_rejected(self, mode):
+        records = self._records(mode)
+        self._rejected([[1, 2]] + records[1:], "header is not a JSON object")
+        self._rejected(records[:1] + [[1, 2]], "record 1 is not a JSON object")
+        records[1]["request"] = [1, 2]
+        self._rejected(records, "record 1 has a malformed 'request'")
+
+
+def _climbing_odometer() -> SessionConfig:
+    # sigma 1 spends 1 per query at order 2 and 2 at order 4, whose first
+    # rungs are ln(4e5) ~ 12.9 and 4.3: order 4 climbs at queries 3, 5, 9
+    # and 18 of the step, order 2 at query 13
+    return SessionConfig(
+        mode=ODOMETER,
+        orders=ORDERS24,
+        delta=1e-5,
+        seed=0,
+        source=gaussian_schedule(1, sigma=1.0, count=20),
+    )
+
+
+SESSION_KINDS = {
+    "filter by cap": SessionConfig(
+        mode=FILTER,
+        orders=ORDERS24,
+        delta=1e-5,
+        seed=0,
+        source=gaussian_schedule(2, sigma=1.0, count=3),
+        cap=RdpCurve(ORDERS24, (3.5, 7.0)),
+    ),
+    "filter by dp_target": SessionConfig(
+        mode=FILTER,
+        orders=ORDERS24,
+        delta=1e-5,
+        seed=0,
+        source=gaussian_schedule(3, sigma=100.0, count=2),
+        dp_target=5.0,
+    ),
+    "sealed filter": SessionConfig(
+        mode=FILTER,
+        orders=ORDERS24,
+        delta=1e-5,
+        seed=0,
+        source=ScheduleReplay(
+            steps=(
+                ScheduleStep(GaussianMechanism(1.0), 4),
+                ScheduleStep(GaussianMechanism(3.0), 3),
+            )
+        ),
+        cap=RdpCurve(ORDERS24, (3.5, 7.0)),
+        sealed=True,
+    ),
+    "odometer climbing mid-step": _climbing_odometer(),
+    "request repeated across steps": SessionConfig(
+        mode=ODOMETER,
+        orders=ORDERS24,
+        delta=1e-5,
+        seed=0,
+        source=gaussian_schedule(4, sigma=0.7, count=3),
+    ),
+    "script": SessionConfig(
+        mode=FILTER,
+        orders=ORDERS2,
+        delta=1e-5,
+        seed=0,
+        source=chain_script(),
+        cap=_req(1.0),
+    ),
+}
+
+
+class TestLogText:
+    @pytest.mark.parametrize("kind", list(SESSION_KINDS))
+    def test_text_is_json_dumps_of_its_records(self, kind):
+        text = run_session(SESSION_KINDS[kind]).to_jsonl()
+        records = SessionLog.from_jsonl(text).records
+        assert text == "".join(json.dumps(r) + "\n" for r in records)
+        reconstruct(SessionLog.from_jsonl(text))
+
+    def test_kinds_cover_denials_sealing_and_mid_step_climbs(self):
+        decisions = {
+            kind: [r["decision"] for r in run_session(SESSION_KINDS[kind]).events]
+            for kind in ("filter by cap", "sealed filter", "script")
+        }
+        assert decisions["filter by cap"] == ["GRANT"] * 3 + ["PASS"] * 3
+        assert decisions["sealed filter"] == ["GRANT"] * 3 + ["PASS"] * 4
+        assert decisions["script"] == ["GRANT", "GRANT", "PASS", "GRANT"]
+        rungs = [r["f_per_alpha"] for r in run_session(_climbing_odometer()).events]
+        climbs = [i for i in range(1, len(rungs)) if rungs[i] != rungs[i - 1]]
+        assert [i + 1 for i in climbs] == [3, 5, 9, 13, 18]
+
+    def test_records_are_a_view_parsed_from_the_text(self):
+        log = run_session(SESSION_KINDS["script"])
+        text = log.to_jsonl()
+        log.records[3]["decision"] = "GRANT"
+        assert log.to_jsonl() is text
+        with pytest.raises(ValueError, match="replay decides"):
+            reconstruct(log)
+        loaded = SessionLog.from_jsonl(text)
+        assert loaded.to_jsonl() is text
+        assert loaded.final_state is None
+        with pytest.raises(ValueError):
+            SessionLog.from_jsonl(text + "{not json\n")
 
 
 class TestReplaySchedule:
@@ -444,6 +598,29 @@ class TestPolicySpec:
             PolicySpec(threshold_sigmas=-0.5)
         with pytest.raises(ValueError):
             PolicySpec(eval_sigma=0.0)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"period_epochs": "10"},
+            {"period_epochs": True},
+            {"min_remaining_epochs": 50.0},
+            {"threshold_sigmas": "3"},
+            {"eval_sigma": False},
+            {"sigma_floor": "0.5"},
+            {"sigma_ceiling": [2.0]},
+        ],
+    )
+    def test_field_types_are_checked(self, data):
+        (name,) = data
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            PolicySpec.from_json(data)
+
+    def test_ints_are_real_numbers_and_none_is_allowed(self):
+        spec = PolicySpec.from_json(
+            {"eval_sigma": 50, "sigma_floor": None, "sigma_ceiling": 2}
+        )
+        assert spec.eval_sigma == 50 and spec.sigma_ceiling == 2
 
     def test_json_round_trip(self):
         spec = PolicySpec(period_epochs=5, sigma_ceiling=3.0)

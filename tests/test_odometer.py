@@ -56,6 +56,15 @@ def test_schedule_rejects_bad_inputs():
         sched.level(MAX_FILTER_INDEX + 1, 2.0)
 
 
+def test_schedule_rejects_a_delta_whose_log_argument_overflows():
+    # 2*1*64^2/1e-320 is not finite; at 1e-300 every rung's is
+    with pytest.raises(ValueError, match="too small"):
+        FilterSchedule(delta=1e-320, orders=OrderSet([2.0]))
+    sched = FilterSchedule(delta=1e-300, orders=OrderSet([2.0]))
+    assert sched.base(2.0) == math.log(2.0 / 1e-300)
+    assert math.isfinite(sched.bound_term(MAX_FILTER_INDEX, 0))
+
+
 # ------------------------------------------------------------------- spend
 
 
@@ -258,6 +267,15 @@ def test_early_stopping_validates_inputs():
         early_stopping_bound(
             [curve(orders, 0.1), curve(OrderSet([4.0]), 0.1)], 2, DELTA
         )
+
+
+def test_early_stopping_rejects_a_delta_whose_log_argument_overflows():
+    steps = [curve(OrderSet([2.0]), 0.1)]
+    with pytest.raises(ValueError, match="too small"):
+        early_stopping_bound(steps, 1, 1e-320)
+    g = early_stopping_bound(steps, 1, 1e-300)
+    assert g.epsilon == 0.1 + math.log(2.0 / 1e-300)
+    assert g.witness_order == 2.0
 
 
 @settings(max_examples=100)

@@ -1,0 +1,48 @@
+"""The benchmark's tracer (bench/spans.py) wraps rdpmeter functions and
+methods found by name at run time; a refactor that renamed or moved one
+would silently drop its span. These tests read the tracer's name lists
+and check that each still resolves."""
+
+import importlib
+import importlib.util
+import inspect
+import pathlib
+import sys
+
+import pytest
+
+SPANS_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_traced_function_resolves(spans):
+    for module_name, attr in spans.FUNCTIONS:
+        module = importlib.import_module(f"rdpmeter.{module_name}")
+        assert inspect.isfunction(getattr(module, attr, None)), (
+            f"rdpmeter.{module_name}.{attr}"
+        )
+
+
+def test_every_traced_method_is_defined_on_its_class(spans):
+    for module_name, cls_name, attr, _ in spans.METHODS:
+        cls = getattr(importlib.import_module(f"rdpmeter.{module_name}"), cls_name)
+        # the tracer rebinds the class's own attribute, not an inherited one
+        assert attr in cls.__dict__, f"rdpmeter.{module_name}.{cls_name}.{attr}"
+
+
+def test_session_log_keeps_its_method_kinds():
+    from rdpmeter.harness import SessionLog
+
+    assert inspect.isfunction(SessionLog.__dict__["to_jsonl"])
+    assert isinstance(SessionLog.__dict__["from_jsonl"], classmethod)
