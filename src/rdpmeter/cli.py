@@ -74,16 +74,14 @@ def _load_orders(path: Optional[str]) -> OrderSet:
     return OrderSet(data)
 
 
-def _load_curve(path: str) -> RdpCurve:
-    return RdpCurve.from_json(_read_json(path))
-
-
-def _load_script(path: str) -> AdversaryScript:
-    return script_from_json(_read_json(path))
-
-
-def _load_schedule(path: str) -> ScheduleReplay:
-    return ScheduleReplay.from_json(_read_json(path))
+def _load(path: str, parse):
+    """parse(JSON of path); a missing key or a value of the wrong type
+    becomes a one-line ValueError naming the file."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} is malformed: {exc!r}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -103,7 +101,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_convert(args) -> int:
-    curve = _load_curve(args.curve)
+    curve = _load(args.curve, RdpCurve.from_json)
     guarantee = curve_to_dp(curve, args.delta)
     _emit(
         json.dumps(
@@ -131,8 +129,8 @@ def _session_source(args):
     if (args.script is None) == (args.schedule is None):
         raise _UsageError("exactly one of --script / --schedule is required")
     if args.script is not None:
-        return _load_script(args.script)
-    return _load_schedule(args.schedule)
+        return _load(args.script, script_from_json)
+    return _load(args.schedule, ScheduleReplay.from_json)
 
 
 def _emit_log(log: SessionLog, args) -> None:
@@ -146,7 +144,7 @@ def _cmd_filter(args) -> int:
     if (args.cap is None) == (args.dp_target is None):
         raise _UsageError("exactly one of --cap / --dp-target is required")
     source = _session_source(args)
-    cap = _load_curve(args.cap) if args.cap is not None else None
+    cap = _load(args.cap, RdpCurve.from_json) if args.cap is not None else None
     config = SessionConfig(
         mode=FILTER,
         orders=cap.orders if cap is not None else _load_orders(args.orders_file),
@@ -176,7 +174,7 @@ def _cmd_odometer(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    schedule = _load_schedule(args.schedule)
+    schedule = _load(args.schedule, ScheduleReplay.from_json)
     orders = _load_orders(args.orders_file)
     trace = replay_schedule(schedule, orders)
     if args.format == "csv":
@@ -196,7 +194,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_policy(args) -> int:
-    base = _load_schedule(args.base)
+    base = _load(args.base, ScheduleReplay.from_json)
     signal = _read_json(args.signal)
     if not isinstance(signal, list):
         raise ValueError(f"{args.signal}: expected a JSON list of numbers")
@@ -212,15 +210,15 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_oracle_verify_filter(args) -> int:
-    script = _load_script(args.script)
-    cap = _load_curve(args.cap)
+    script = _load(args.script, script_from_json)
+    cap = _load(args.cap, RdpCurve.from_json)
     report = verify_filter_bound(script, cap)
     _emit(json.dumps(report.to_json()), args.out)
     return 0 if report.ok else 2
 
 
 def _cmd_oracle_verify_truncated(args) -> int:
-    script = _load_script(args.script)
+    script = _load(args.script, script_from_json)
     if args.orders_file is not None:
         orders = _load_orders(args.orders_file)
     elif script.orders is not None:

@@ -100,6 +100,13 @@ class DpGuarantee:
     witness_order: float
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not math.isfinite(1.0 / delta):
+        raise ValueError(f"delta {delta} is too small: ln(1/delta) overflows")
+
+
 def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     """Convert a single (alpha, eps_rdp) point to the DP epsilon at delta.
 
@@ -107,8 +114,7 @@ def rdp_to_dp(eps_rdp: float, alpha: float, delta: float) -> float:
     """
     if alpha <= 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if eps_rdp < 0.0:
         raise ValueError(f"eps_rdp must be >= 0, got {eps_rdp}")
     return eps_rdp + math.log(1.0 / delta) / (alpha - 1.0)
@@ -138,10 +144,7 @@ def dp_target_to_rdp_budget(
     """
     if eps_dp <= 0.0:
         raise ValueError(f"eps_dp must be > 0, got {eps_dp}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not math.isfinite(1.0 / delta):
-        raise ValueError(f"delta {delta} is too small: ln(1/delta) overflows")
+    _check_delta(delta)
     log_term = math.log(1.0 / delta)
     budgets = []
     for alpha in orders:

@@ -331,17 +331,13 @@ def _read(where: str, record: dict, key: str, parse=None):
         raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 
-def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
-    """Rebuild the final accountant state by re-executing the log.
-
-    The header must agree with a fresh accountant (a filter's cap with its
-    dp_target, an odometer's bound with its orders and delta), each record
-    must carry its position as "i", and recorded decisions, filter
-    indices, and bounds are cross-checked against the re-execution; any
-    disagreement, and any line that is not an object with the keys its
-    kind needs, raises ValueError. A log cut after a whole record still
-    replays.
-    """
+def _replay(
+    log: SessionLog,
+) -> Iterator[tuple[dict, Union[FilterState, OdometerState]]]:
+    """Open the accountant from the header and yield (header, accountant),
+    then re-execute each record and yield it with the accountant after it,
+    once the record has passed every check (see reconstruct). The
+    accountant is one object, updated in place."""
     header = log.header
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
@@ -364,6 +360,7 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
             raise ValueError("header bound is not a fresh odometer's bound")
     else:
         raise ValueError(f"unknown session kind {kind!r}")
+    yield header, state
     for i, record in enumerate(log.events, start=1):
         where = f"record {i}"
         if not isinstance(record, dict):
@@ -384,6 +381,22 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
                 raise ValueError(f"event {i}: filter indices diverge")
             if _bound_to_json(running_bound(state)) != _read(where, record, "bound"):
                 raise ValueError(f"event {i}: running bound diverges")
+        yield record, state
+
+
+def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
+    """Rebuild the final accountant state by re-executing the log.
+
+    The header must agree with a fresh accountant (a filter's cap with its
+    dp_target, an odometer's bound with its orders and delta), each record
+    must carry its position as "i", and recorded decisions, filter
+    indices, and bounds are cross-checked against the re-execution; any
+    disagreement, and any line that is not an object with the keys its
+    kind needs, raises ValueError. A log cut after a whole record still
+    replays.
+    """
+    for _, state in _replay(log):
+        pass
     return state
 
 
@@ -514,42 +527,29 @@ def export(log: SessionLog, fmt: str, path: str) -> str:
 
 
 def log_to_csv(log: SessionLog) -> str:
-    """Flatten a session log: one row per event, cumulative spent columns."""
-    header = log.header
-    kind = header.get("kind")
-    orders = [float(a) for a in header["orders"]]
+    """Flatten a session log through the replay: one row per event,
+    cumulative spent columns; a log reconstruct rejects raises here too."""
+    replay = _replay(log)
+    _, state = next(replay)
+    orders = state.orders.orders
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if kind == FILTER:
-        writer.writerow(
-            ["step", "decision"] + [f"spent_{a}" for a in orders]
-        )
-        spent = [0.0] * len(orders)
-        for record in log.events:
-            if record["decision"] == Decision.GRANT.value:
-                for i, v in enumerate(record["request"]["eps"]):
-                    spent[i] += v
+    spent_columns = [f"spent_{a}" for a in orders]
+    if isinstance(state, FilterState):
+        writer.writerow(["step", "decision"] + spent_columns)
+        for record, state in replay:
             writer.writerow(
-                [record["i"], record["decision"]] + [repr(v) for v in spent]
-            )
-    elif kind == ODOMETER:
-        writer.writerow(
-            ["step"]
-            + [f"spent_{a}" for a in orders]
-            + [f"f_{a}" for a in orders]
-            + ["eps_dp"]
-        )
-        spent = [0.0] * len(orders)
-        for record in log.events:
-            for i, v in enumerate(record["request"]["eps"]):
-                spent[i] += v
-            f_per_alpha = record["f_per_alpha"]
-            writer.writerow(
-                [record["i"]]
-                + [repr(v) for v in spent]
-                + [f_per_alpha[repr(a)] for a in orders]
-                + [repr(record["bound"]["eps"])]
+                [record["i"], record["decision"]] + [repr(v) for v in state._spent]
             )
     else:
-        raise ValueError(f"unknown session kind {kind!r}")
+        writer.writerow(
+            ["step"] + spent_columns + [f"f_{a}" for a in orders] + ["eps_dp"]
+        )
+        for record, state in replay:
+            writer.writerow(
+                [record["i"]]
+                + [repr(v) for v in state._spent]
+                + state._f
+                + [repr(record["bound"]["eps"])]
+            )
     return buf.getvalue()

@@ -77,9 +77,10 @@ class DiscreteMechanism:
             raise ValueError(f"{name} sums to {total}, not 1")
         if total != 1.0:
             values = [p / total for p in values]
-            # land on exact unit mass by absorbing the last-ulp residue
-            # into the largest entry; construction is then a fixed point,
-            # so serialized mechanisms reconstruct bit for bit
+            # absorb the last-ulp residue into the largest entry. Known
+            # defect: this is not a fixed point. fsum can still come out
+            # as 0.9999999999999999, and a reload renormalises again, so
+            # a serialized mechanism may come back one ulp off
             residue = 1.0 - math.fsum(values)
             if residue != 0.0:
                 top = max(range(len(values)), key=values.__getitem__)

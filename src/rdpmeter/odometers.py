@@ -10,10 +10,11 @@ level plus a union-bound term over rungs and orders. A fresh odometer
 therefore reports exactly twice the base at every order: the price of not
 fixing the budget in advance is a factor of two.
 
-All bound arithmetic is scalar double precision through one shared
-log-argument helper, so equal inputs give bit-identical outputs across
-every code path (fresh-bound doubling is exact, replays reconstruct
-bounds bit for bit).
+All bound arithmetic is scalar double precision. The schedule computes
+the union-bound logs once, one per rung, and levels and candidates are
+read from them, so equal inputs give bit-identical outputs across every
+code path (fresh-bound doubling is exact, replays reconstruct bounds bit
+for bit).
 """
 
 import math
@@ -26,8 +27,8 @@ MAX_FILTER_INDEX = 64
 
 
 def _log_arg(m: int, f: int, delta: float) -> float:
-    # Shared by base levels (f=1) and bound terms so the two are
-    # bit-identical where the formulas coincide.
+    # Shared by the schedule's logs and early_stopping_bound, so the two
+    # are bit-identical where the formulas coincide.
     return 2.0 * m * f * f / delta
 
 
@@ -40,47 +41,34 @@ def _check_log_arg(m: int, f: int, delta: float) -> None:
 
 @dataclass(frozen=True)
 class FilterSchedule:
-    """Doubling ladder of per-order budget levels."""
+    """Doubling ladder of per-order budget levels.
+
+    Holds, once, the union-bound logs ln(2*|orders|*f^2/delta) for every
+    rung f: level(1, alpha) is the first over (alpha - 1), every level is
+    an exact doubling of it, and each bound candidate adds the log of its
+    rung over (alpha - 1).
+    """
 
     delta: float
     orders: OrderSet
+    _logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _base: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _terms: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         m = len(self.orders)
         _check_log_arg(m, MAX_FILTER_INDEX, self.delta)
-        base = tuple(
-            math.log(_log_arg(m, 1, self.delta)) / (alpha - 1.0)
-            for alpha in self.orders
+        rungs = range(1, MAX_FILTER_INDEX + 1)
+        # list comprehensions: every CLI session and oracle call builds one
+        logs = tuple([math.log(_log_arg(m, f, self.delta)) for f in rungs])
+        object.__setattr__(self, "_logs", logs)
+        object.__setattr__(
+            self, "_base", tuple([logs[0] / (alpha - 1.0) for alpha in self.orders])
         )
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_terms", {})
-
-    def base(self, alpha: float) -> float:
-        """First level: ln(2*|orders|/delta)/(alpha-1)."""
-        return self._base[self.orders.index(alpha)]
 
     def level(self, f: int, alpha: float) -> float:
-        """f-th level: exactly 2^(f-1) times the base."""
-        self._check_f(f)
-        return math.ldexp(self._base[self.orders.index(alpha)], f - 1)
-
-    def bound_term(self, f: int, i: int) -> float:
-        """Union-bound increment ln(2*|orders|*f^2/delta)/(alpha_i - 1)."""
-        self._check_f(f)
-        key = (f, i)
-        term = self._terms.get(key)
-        if term is None:
-            arg = _log_arg(len(self.orders), f, self.delta)
-            term = math.log(arg) / (self.orders.orders[i] - 1.0)
-            self._terms[key] = term
-        return term
-
-    @staticmethod
-    def _check_f(f: int) -> None:
+        """f-th level: exactly 2^(f-1) times ln(2*|orders|/delta)/(alpha-1)."""
         if not isinstance(f, int) or f < 1:
             raise ValueError(f"filter index must be a positive integer, got {f}")
         if f > MAX_FILTER_INDEX:
@@ -88,6 +76,7 @@ class FilterSchedule:
                 f"filter index {f} exceeds the supported maximum "
                 f"{MAX_FILTER_INDEX}"
             )
+        return math.ldexp(self._base[self.orders.index(alpha)], f - 1)
 
 
 @dataclass(frozen=True)
@@ -160,44 +149,31 @@ def filter_index(state: OdometerState, alpha: float) -> int:
     return state._f[state.schedule.orders.index(alpha)]
 
 
-def filter_index_from_spent(schedule: FilterSchedule, spent: float, alpha: float) -> int:
-    """From-scratch recomputation, for cross-checking the running index."""
-    i = schedule.orders.index(alpha)
-    f = 1
-    while spent > math.ldexp(schedule._base[i], f - 1):
-        f += 1
-        schedule._check_f(f)
-    return f
+def _candidates(state: OdometerState) -> list[float]:
+    # level(f_a, a) + ln(2*|orders|*f_a^2/delta)/(a - 1), per order
+    schedule = state.schedule
+    logs = schedule._logs
+    return [
+        math.ldexp(base, f - 1) + logs[f - 1] / (alpha - 1.0)
+        for base, f, alpha in zip(schedule._base, state._f, schedule.orders.orders)
+    ]
 
 
 def bound_candidates(state: OdometerState) -> dict[float, float]:
-    """Per-order bound candidates level(f_a, a) + bound_term(f_a, a)."""
-    schedule = state.schedule
-    return {
-        alpha: math.ldexp(schedule._base[i], state._f[i] - 1)
-        + schedule.bound_term(state._f[i], i)
-        for i, alpha in enumerate(schedule.orders)
-    }
+    """Per-order bound candidates: the order's level plus its union term."""
+    return dict(zip(state.schedule.orders.orders, _candidates(state)))
 
 
 def running_bound(state: OdometerState) -> RunningBound:
     """Best candidate over orders; ties go to the smallest order."""
-    schedule = state.schedule
-    base = schedule._base
-    best = math.inf
-    best_i = 0
-    for i in range(len(base)):
-        candidate = math.ldexp(base[i], state._f[i] - 1) + schedule.bound_term(
-            state._f[i], i
-        )
-        if candidate < best:
-            best = candidate
-            best_i = i
+    candidates = _candidates(state)
+    best = min(candidates)
+    i = candidates.index(best)
     return RunningBound(
         eps_dp=best,
-        witness_order=schedule.orders.orders[best_i],
-        witness_level=state._f[best_i],
-        delta=schedule.delta,
+        witness_order=state.schedule.orders.orders[i],
+        witness_level=state._f[i],
+        delta=state.schedule.delta,
     )
 
 
@@ -247,9 +223,8 @@ def truncate(
     keeps the entry), including the accumulation order, so a truncated
     sequence routed through an odometer never climbs past rung f at alpha.
     """
-    schedule._check_f(f)
+    limit = schedule.level(f, alpha)
     i = schedule.orders.index(alpha)
-    limit = math.ldexp(schedule._base[i], f - 1)
     out = []
     total = 0.0
     stopped = False

@@ -90,6 +90,15 @@ class TestConvert:
         assert code == 1
         assert "nope.json" in err
 
+    def test_delta_whose_log_overflows_is_a_validation_error(self, files, capsys):
+        code, out, err = run(
+            ["convert", "--curve", files["curve.json"], "--delta", "1e-320"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "too small" in err
+
 
 class TestOrders:
     def test_default_set_has_38_orders(self, capsys):
@@ -404,3 +413,33 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "/no/such/dir" in err
+
+
+GAUSSIAN_NO_SIGMA = {"steps": [{"mech": {"kind": "gaussian"}, "count": 1}]}
+MECH_AS_LIST = {"steps": [{"mech": [1, 2], "count": 1}]}
+NODE_NO_REQUEST = {"mech": {"kind": "gaussian", "sigma": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        (GAUSSIAN_NO_SIGMA, ["odometer", "--delta", "1e-5", "--schedule"]),
+        ({"orders": [2.0, 4.0]}, ["convert", "--delta", "1e-5", "--curve"]),
+        ([1, 2], ["odometer", "--delta", "1e-5", "--schedule"]),
+        (MECH_AS_LIST, ["replay", "--schedule"]),
+        (
+            NODE_NO_REQUEST,
+            ["oracle", "verify-truncated", "--delta", "0.05", "--f", "1", "--script"],
+        ),
+    ],
+    ids=["gaussian-without-sigma", "curve-without-eps", "schedule-list",
+         "mechanism-list", "node-without-request"],
+)
+def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, payload, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(path) in err and "malformed" in err

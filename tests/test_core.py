@@ -178,6 +178,13 @@ def test_rdp_to_dp_monotone_in_eps_and_delta(e1, e2, alpha, delta):
     assert rdp_to_dp(lo, alpha, delta) >= rdp_to_dp(lo, alpha, delta * 1.5)
 
 
+def test_rdp_to_dp_rejects_a_delta_whose_log_overflows():
+    # 1/1e-320 is not finite; the bound would silently be inf
+    with pytest.raises(ValueError, match="too small"):
+        rdp_to_dp(1.0, 2.0, 1e-320)
+    assert rdp_to_dp(1.0, 2.0, 1e-300) == 1.0 + math.log(1.0 / 1e-300)
+
+
 def test_curve_to_dp_frozen_value_and_witness():
     c = RdpCurve.from_mapping({2.0: 1.0, 32.0: 1.0})
     g = curve_to_dp(c, 1e-5)
@@ -195,6 +202,16 @@ def test_curve_to_dp_tie_breaks_to_smallest_order():
     g = curve_to_dp(c, delta)
     assert g.epsilon == math.log(4.0)
     assert g.witness_order == 2.0
+
+
+def test_curve_to_dp_rejects_a_delta_whose_log_overflows():
+    # without the check: epsilon inf and no witness order
+    c = RdpCurve.from_mapping({2.0: 1.0, 32.0: 1.0})
+    with pytest.raises(ValueError, match="too small"):
+        curve_to_dp(c, 1e-320)
+    g = curve_to_dp(c, 1e-300)
+    assert g.epsilon == 1.0 + math.log(1.0 / 1e-300) / 31.0
+    assert g.witness_order == 32.0
 
 
 def test_curve_to_dp_zero_curve():

@@ -796,6 +796,28 @@ class TestExport:
         assert rows[-1][3:5] == [str(f) for f in state._f]
         assert float(rows[-1][5]) == running_bound(state).eps_dp
 
+    @pytest.mark.parametrize(
+        "mode, tamper",
+        [
+            (FILTER, lambda records: records[3].update(decision="GRANT")),
+            (ODOMETER, lambda records: records[-1]["bound"].update(eps=0.5)),
+            (ODOMETER, lambda records: records[2].update(i=7)),
+            (ODOMETER, lambda records: records[2].pop("bound")),
+        ],
+        ids=["decision", "bound", "numbering", "missing-key"],
+    )
+    def test_csv_rejects_what_reconstruct_rejects(self, tmp_path, mode, tamper):
+        log = self._filter_log() if mode == FILTER else self._odometer_log()
+        tamper(log.records)
+        with pytest.raises(ValueError) as expected:
+            reconstruct(log)
+        path = tmp_path / "session.csv"
+        with pytest.raises(ValueError) as got:
+            export(log, "csv", str(path))
+        assert str(got.value) == str(expected.value)
+        assert len(str(got.value).splitlines()) == 1
+        assert not path.exists()
+
     def test_unwritable_path_reports_the_path(self):
         log = self._filter_log()
         with pytest.raises(OSError, match="no/such/dir"):

@@ -1,0 +1,51 @@
+"""Golden hashes of the benchmark's 32,000-query training-schedule logs.
+
+The schedule comes from the benchmark's own input generator
+(bench/workloads.py, loaded read-only, seed 7) and each log is written
+through the CLI with its default seed. Any change to decisions, bounds
+or the log format changes these bytes; a deliberate format change
+updates the pinned values.
+"""
+
+import hashlib
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from rdpmeter import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS_PATH = ROOT / "bench" / "workloads.py"
+LOG_SHA256 = {
+    "filter": "2f6e4566bc68d0c9ee6ab1dea74e59f1b2dedb706b142c696b336cafa82aafe5",
+    "odometer": "848b23cf9c71f42c301082d5f71e1f2334b04162fa008fbbe1f1078adecf4c5c",
+}
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        work = tmp_path_factory.mktemp("train")
+        inputs, _ = module.setup("filter-train", 7, str(ROOT), str(work))
+        yield module.DELTA, inputs, work
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("mode", ["filter", "odometer"])
+def test_training_schedule_log_bytes_are_pinned(train_inputs, mode):
+    delta, inputs, work = train_inputs
+    out = work / f"{mode}.jsonl"
+    argv = [mode, "--schedule", inputs.schedule_path, "--delta", repr(delta),
+            "--out", str(out)]
+    if mode == "filter":
+        argv += ["--dp-target", repr(inputs.dp_target)]
+    assert inputs.queries == 32_000
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOG_SHA256[mode]

@@ -12,7 +12,6 @@ from rdpmeter.odometers import (
     bound_candidates,
     early_stopping_bound,
     filter_index,
-    filter_index_from_spent,
     new_odometer,
     running_bound,
     spend,
@@ -26,14 +25,22 @@ def curve(orders, *values):
     return RdpCurve(orders, tuple(values))
 
 
+def filter_index_from_spent(schedule, spent, alpha):
+    """From-scratch recomputation, for cross-checking the running index."""
+    f = 1
+    while spent > schedule.level(f, alpha):
+        f += 1
+    return f
+
+
 # ---------------------------------------------------------------- schedule
 
 
 def test_schedule_base_frozen_value():
     sched = FilterSchedule(delta=DELTA, orders=default_order_set())
     # ln(2 * 38 / 1e-5) / 31 = ln(7.6e6) / 31
-    assert sched.base(32.0) == pytest.approx(0.511085767911502, abs=1e-14)
-    assert sched.base(32.0) == math.log(7.6e6) / 31.0
+    assert sched.level(1, 32.0) == pytest.approx(0.511085767911502, abs=1e-14)
+    assert sched.level(1, 32.0) == math.log(7.6e6) / 31.0
 
 
 def test_levels_double_exactly():
@@ -41,7 +48,7 @@ def test_levels_double_exactly():
     for alpha in sched.orders:
         for f in range(1, 51):
             assert sched.level(f + 1, alpha) == 2.0 * sched.level(f, alpha)
-    assert sched.level(1, 2.0) == sched.base(2.0)
+    assert sched.level(1, 2.0) == math.log(2.0 * 3 / DELTA) / (2.0 - 1.0)
 
 
 def test_schedule_rejects_bad_inputs():
@@ -60,9 +67,13 @@ def test_schedule_rejects_a_delta_whose_log_argument_overflows():
     # 2*1*64^2/1e-320 is not finite; at 1e-300 every rung's is
     with pytest.raises(ValueError, match="too small"):
         FilterSchedule(delta=1e-320, orders=OrderSet([2.0]))
-    sched = FilterSchedule(delta=1e-300, orders=OrderSet([2.0]))
-    assert sched.base(2.0) == math.log(2.0 / 1e-300)
-    assert math.isfinite(sched.bound_term(MAX_FILTER_INDEX, 0))
+    orders = OrderSet([2.0])
+    state = new_odometer(1e-300, orders)
+    assert state.schedule.level(1, 2.0) == math.log(2.0 / 1e-300)
+    top = state.schedule.level(MAX_FILTER_INDEX, 2.0)
+    spend(state, curve(orders, top))
+    assert filter_index(state, 2.0) == MAX_FILTER_INDEX
+    assert math.isfinite(bound_candidates(state)[2.0])
 
 
 # ------------------------------------------------------------------- spend
@@ -190,7 +201,7 @@ def test_fresh_bound_is_exactly_twice_the_base():
     state = new_odometer(DELTA, default_order_set())
     cands = bound_candidates(state)
     for alpha in state.orders:
-        assert cands[alpha] == 2.0 * state.schedule.base(alpha)
+        assert cands[alpha] == 2.0 * state.schedule.level(1, alpha)
     assert cands[32.0] == pytest.approx(1.022171535823004, abs=1e-14)
 
 
@@ -224,6 +235,33 @@ def test_bound_nondecreasing_under_random_spends():
         now = running_bound(state).eps_dp
         assert now >= prev
         prev = now
+
+
+def test_every_rung_matches_the_closed_form_bit_for_bit():
+    # a first spend of 1.5 levels puts every order on rung 2; each later
+    # spend doubles spent (exactly), which moves every order up one rung
+    orders = default_order_set()
+    m = len(orders)
+    state = new_odometer(DELTA, orders)
+    sched = state.schedule
+    for f in range(1, MAX_FILTER_INDEX + 1):
+        if f == 2:
+            first = tuple(1.5 * sched.level(1, a) for a in orders)
+            spend(state, RdpCurve(orders, first))
+        elif f > 2:
+            spend(state, state.spent)
+        expected = {
+            a: math.ldexp(sched.level(1, a), f - 1)
+            + math.log(2.0 * m * f * f / DELTA) / (a - 1.0)
+            for a in orders
+        }
+        assert all(filter_index(state, a) == f for a in orders)
+        assert bound_candidates(state) == expected
+        rb = running_bound(state)
+        best = min(expected.values())
+        assert rb.eps_dp == best
+        assert rb.witness_order == min(a for a in orders if expected[a] == best)
+        assert rb.witness_level == f
 
 
 def test_bound_ties_break_to_smallest_order():
