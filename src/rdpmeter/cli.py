@@ -66,21 +66,25 @@ def _read_json(path: str):
 def _load_orders(path: Optional[str]) -> OrderSet:
     if path is None:
         return default_order_set()
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = data.get("orders")
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON list or {{\"orders\": [...]}}")
-    return OrderSet(data)
+
+    def parse(data) -> OrderSet:
+        if isinstance(data, dict):
+            data = data.get("orders")
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: expected a JSON list or {{\"orders\": [...]}}")
+        return OrderSet(data)
+
+    return _load(path, parse)
 
 
 def _load(path: str, parse):
-    """parse(JSON of path); a missing key or a value of the wrong type
-    becomes a one-line ValueError naming the file."""
+    """parse(JSON of path); a missing key, a value of the wrong type or
+    arithmetic that leaves the float range becomes a one-line ValueError
+    naming the file."""
     data = _read_json(path)
     try:
         return parse(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"{path} is malformed: {exc!r}") from None
 
 

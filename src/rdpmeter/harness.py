@@ -58,8 +58,9 @@ class ScheduleStep:
     count: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError(f"count must be an integer >= 1, got {self.count}")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class ScheduleReplay:
             steps=tuple(
                 ScheduleStep(
                     mech=mechanism_from_json(s["mech"]),
-                    count=int(s.get("count", 1)),
+                    count=s.get("count", 1),
                 )
                 for s in data["steps"]
             )
@@ -245,7 +246,8 @@ def run_session(config: SessionConfig) -> SessionLog:
     Each record line is written as json.dumps would write the record,
     from fragments that are each encoded by json.dumps only when they
     change: the request once per schedule step or script node, an
-    odometer's f_per_alpha only when a rung moved.
+    odometer's f_per_alpha and bound only when a rung moved (when
+    `running_bound` returns a new object).
     """
     rng = np.random.default_rng(config.seed)
     header: dict = {
@@ -284,19 +286,21 @@ def run_session(config: SessionConfig) -> SessionLog:
             return decision
 
     else:
-        rungs: Optional[list[int]] = None
-        rungs_json = ""
+        encoded: Optional[RunningBound] = None
+        tail = ""
 
         def on_request(request: RdpCurve, request_json: str) -> Optional[Decision]:
-            nonlocal rungs, rungs_json
+            nonlocal encoded, tail
             spend(state, request)
-            if state._f != rungs:
-                rungs = list(state._f)
-                rungs_json = json.dumps(_f_per_alpha(state))
-            bound_json = json.dumps(_bound_to_json(running_bound(state)))
+            bound = running_bound(state)
+            if bound is not encoded:  # a rung moved
+                encoded = bound
+                tail = (
+                    f'"f_per_alpha": {json.dumps(_f_per_alpha(state))}, '
+                    f'"bound": {json.dumps(_bound_to_json(bound))}'
+                )
             lines.append(
-                f'{{"i": {state.step}, "request": {request_json}, '
-                f'"f_per_alpha": {rungs_json}, "bound": {bound_json}}}\n'
+                f'{{"i": {state.step}, "request": {request_json}, {tail}}}\n'
             )
             return None
 
@@ -361,6 +365,9 @@ def _replay(
     else:
         raise ValueError(f"unknown session kind {kind!r}")
     yield header, state
+    # an odometer's expected f_per_alpha and bound, rebuilt only when a
+    # rung moved (running_bound returns a new object)
+    expected_for: Optional[RunningBound] = None
     for i, record in enumerate(log.events, start=1):
         where = f"record {i}"
         if not isinstance(record, dict):
@@ -377,9 +384,14 @@ def _replay(
                 )
         else:
             spend(state, request)
-            if _f_per_alpha(state) != _read(where, record, "f_per_alpha"):
+            bound = running_bound(state)
+            if bound is not expected_for:
+                expected_for = bound
+                expected_f = _f_per_alpha(state)
+                expected_bound = _bound_to_json(bound)
+            if expected_f != _read(where, record, "f_per_alpha"):
                 raise ValueError(f"event {i}: filter indices diverge")
-            if _bound_to_json(running_bound(state)) != _read(where, record, "bound"):
+            if expected_bound != _read(where, record, "bound"):
                 raise ValueError(f"event {i}: running bound diverges")
         yield record, state
 

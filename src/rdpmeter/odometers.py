@@ -15,9 +15,15 @@ the union-bound logs once, one per rung, and levels and candidates are
 read from them, so equal inputs give bit-identical outputs across every
 code path (fresh-bound doubling is exact, replays reconstruct bounds bit
 for bit).
+
+The bound depends on the rungs alone, which on a training schedule move
+on a few queries in a thousand. So the state keeps its levels and bound,
+`spend` recomputes them only when some order climbs, and `running_bound`
+returns the kept object, the same one until a rung moves.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -94,14 +100,17 @@ class OdometerState:
 
     Unlike a filter, an odometer never refuses: every request is added
     unconditionally and the running bound grows to cover it. Holds only
-    spent, the rung per order and the step count; the session log is the
-    per-query record.
+    spent, the rung per order, each order's current level, the running
+    bound and the step count; the session log is the per-query record.
+    `spend` is the only writer.
     """
 
     def __init__(self, schedule: FilterSchedule):
         self.schedule = schedule
         self._spent = [0.0] * len(schedule.orders)
         self._f = [1] * len(schedule.orders)
+        self._levels = list(schedule._base)  # level(1, alpha) is the base
+        self._bound = _bound(schedule, self._f)
         self.step = 0
 
     @property
@@ -118,28 +127,31 @@ def new_odometer(delta: float, orders: OrderSet) -> OdometerState:
 
 
 def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
-    """Add the request at every order; the odometer never refuses."""
+    """Add the request at every order; the odometer never refuses.
+    A call that raises leaves the state as it was."""
     if request.orders.orders != state.schedule.orders.orders:
         raise ValueError("request curve is defined over a different order set")
-    base = state.schedule._base
-    new_spent = []
-    new_f = []
-    for i, r in enumerate(request.values):
-        total = state._spent[i] + r
-        # climb the ladder only; spent is nondecreasing so f never falls
-        f = state._f[i]
-        while total > math.ldexp(base[i], f - 1):
-            f += 1
-            if f > MAX_FILTER_INDEX:
-                raise ValueError(
-                    f"spent budget {total} at order "
-                    f"{state.schedule.orders.orders[i]} exceeds the top "
-                    f"schedule level {MAX_FILTER_INDEX}"
-                )
-        new_spent.append(total)
-        new_f.append(f)
+    new_spent = list(map(operator.add, state._spent, request.values))
+    if any(map(operator.gt, new_spent, state._levels)):
+        schedule = state.schedule
+        base = schedule._base
+        new_f = list(state._f)
+        for i, total in enumerate(new_spent):
+            # climb the ladder only; spent is nondecreasing so f never falls
+            while total > math.ldexp(base[i], new_f[i] - 1):
+                new_f[i] += 1
+                if new_f[i] > MAX_FILTER_INDEX:
+                    raise ValueError(
+                        f"spent budget {total} at order "
+                        f"{schedule.orders.orders[i]} exceeds the top "
+                        f"schedule level {MAX_FILTER_INDEX}"
+                    )
+        new_levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
+        new_bound = _bound(schedule, new_f)
+        state._f = new_f
+        state._levels = new_levels
+        state._bound = new_bound
     state._spent = new_spent
-    state._f = new_f
     state.step += 1
     return state
 
@@ -149,32 +161,39 @@ def filter_index(state: OdometerState, alpha: float) -> int:
     return state._f[state.schedule.orders.index(alpha)]
 
 
-def _candidates(state: OdometerState) -> list[float]:
+def _candidates(schedule: FilterSchedule, rungs: list[int]) -> list[float]:
     # level(f_a, a) + ln(2*|orders|*f_a^2/delta)/(a - 1), per order
-    schedule = state.schedule
     logs = schedule._logs
     return [
         math.ldexp(base, f - 1) + logs[f - 1] / (alpha - 1.0)
-        for base, f, alpha in zip(schedule._base, state._f, schedule.orders.orders)
+        for base, f, alpha in zip(schedule._base, rungs, schedule.orders.orders)
     ]
 
 
-def bound_candidates(state: OdometerState) -> dict[float, float]:
-    """Per-order bound candidates: the order's level plus its union term."""
-    return dict(zip(state.schedule.orders.orders, _candidates(state)))
-
-
-def running_bound(state: OdometerState) -> RunningBound:
-    """Best candidate over orders; ties go to the smallest order."""
-    candidates = _candidates(state)
+def _bound(schedule: FilterSchedule, rungs: list[int]) -> RunningBound:
+    # best candidate over orders; ties go to the smallest order
+    candidates = _candidates(schedule, rungs)
     best = min(candidates)
     i = candidates.index(best)
     return RunningBound(
         eps_dp=best,
-        witness_order=state.schedule.orders.orders[i],
-        witness_level=state._f[i],
-        delta=state.schedule.delta,
+        witness_order=schedule.orders.orders[i],
+        witness_level=rungs[i],
+        delta=schedule.delta,
     )
+
+
+def bound_candidates(state: OdometerState) -> dict[float, float]:
+    """Per-order bound candidates: the order's level plus its union term."""
+    return dict(
+        zip(state.schedule.orders.orders, _candidates(state.schedule, state._f))
+    )
+
+
+def running_bound(state: OdometerState) -> RunningBound:
+    """Best candidate over orders; ties go to the smallest order. Kept on
+    the state and recomputed by `spend` only when a rung moves."""
+    return state._bound
 
 
 def early_stopping_bound(

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from scipy import integrate
-
 from rdpmeter.core import OrderSet, RdpCurve
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
@@ -372,6 +370,10 @@ def numeric_renyi_gaussian(sigma: float, shift: float, alpha: float) -> float:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if shift < 0.0:
         raise ValueError(f"shift must be >= 0, got {shift}")
+    # imported here, its only use: scipy.integrate is most of a CLI
+    # start-up's import time, and only `oracle gaussian-check` needs it
+    from scipy import integrate
+
     lognorm = math.log(sigma * math.sqrt(2.0 * math.pi))
 
     def g(x: float) -> float:

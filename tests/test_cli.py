@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rdpmeter
 from rdpmeter.cli import main
-from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp
+from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
 from rdpmeter.harness import SessionLog, reconstruct
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
@@ -418,6 +422,16 @@ class TestUsageErrors:
 GAUSSIAN_NO_SIGMA = {"steps": [{"mech": {"kind": "gaussian"}, "count": 1}]}
 MECH_AS_LIST = {"steps": [{"mech": [1, 2], "count": 1}]}
 NODE_NO_REQUEST = {"mech": {"kind": "gaussian", "sigma": 1.0}}
+# a probability ratio of 1e10 overflows (p/q)**alpha at alpha = 32
+OVERFLOWING_NODE = {
+    "mech": {
+        "kind": "discrete",
+        "outcomes": ["a", "b"],
+        "p0": [0.999, 0.001],
+        "p1": [1.0 - 1e-13, 1e-13],
+    },
+    "request": RdpCurve(default_order_set(), (1e6,) * 38).to_json(),
+}
 
 
 @pytest.mark.parametrize(
@@ -431,9 +445,15 @@ NODE_NO_REQUEST = {"mech": {"kind": "gaussian", "sigma": 1.0}}
             NODE_NO_REQUEST,
             ["oracle", "verify-truncated", "--delta", "0.05", "--f", "1", "--script"],
         ),
+        ([[2.0]], ["oracle", "gaussian-check", "--sigma", "1", "--orders-file"]),
+        (
+            OVERFLOWING_NODE,
+            ["oracle", "verify-truncated", "--delta", "0.05", "--f", "1", "--script"],
+        ),
     ],
     ids=["gaussian-without-sigma", "curve-without-eps", "schedule-list",
-         "mechanism-list", "node-without-request"],
+         "mechanism-list", "node-without-request", "orders-holding-a-list",
+         "script-whose-true-curve-overflows"],
 )
 def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
@@ -443,3 +463,41 @@ def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, payload, a
     assert out == ""
     assert err.count("\n") == 1
     assert str(path) in err and "malformed" in err
+
+
+@pytest.mark.parametrize("count", [2.7, True, "3"])
+def test_schedule_count_that_is_not_an_integer_is_a_validation_error(
+    tmp_path, capsys, count
+):
+    path = tmp_path / "sched.json"
+    path.write_text(
+        json.dumps(
+            {"steps": [{"mech": {"kind": "gaussian", "sigma": 1.0}, "count": count}]}
+        )
+    )
+    code, out, err = run(["replay", "--schedule", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "count must be an integer" in err
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # scipy.integrate serves only `oracle gaussian-check`, which loads it
+    program = (
+        "import sys\n"
+        "import rdpmeter.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "code = rdpmeter.cli.main(['oracle', 'gaussian-check', '--sigma', '2', "
+        "'--out', sys.argv[1]])\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rdpmeter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", program, os.devnull],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -311,6 +311,31 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="bound diverges"):
             reconstruct(log)
 
+    @pytest.mark.parametrize(
+        "key, tamper, message",
+        [
+            ("bound", lambda r: r["bound"].update(f=2), "bound diverges"),
+            ("f_per_alpha", lambda r: r["f_per_alpha"].update({"4.0": 2}),
+             "indices diverge"),
+        ],
+    )
+    def test_tampered_record_between_climbs_is_rejected(self, key, tamper, message):
+        # sigma 100 climbs no rung in 10 queries, so every record after the
+        # first repeats the first one's f_per_alpha and bound: each is still
+        # compared, not only those where a rung moved
+        config = SessionConfig(
+            mode=ODOMETER,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(10, sigma=100.0),
+        )
+        log = run_session(config)
+        assert all(r[key] == log.events[0][key] for r in log.events)
+        tamper(log.events[6])
+        with pytest.raises(ValueError, match=f"event 7: .*{message}"):
+            reconstruct(log)
+
     def test_records_must_be_numbered_by_position(self):
         config = SessionConfig(
             mode=FILTER,
@@ -563,6 +588,15 @@ class TestReplaySchedule:
             ScheduleStep(GaussianMechanism(1.0), 0)
         with pytest.raises(ValueError):
             ScheduleStep(GaussianMechanism(1.0), 1.5)
+
+    @pytest.mark.parametrize("count", [2.7, True, "3", 2.0])
+    def test_schedule_json_count_is_not_coerced(self, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            ScheduleStep(GaussianMechanism(1.0), count)
+        data = {"steps": [{"mech": {"kind": "gaussian", "sigma": 1.0}, "count": count}]}
+        with pytest.raises(ValueError, match="count must be an integer") as info:
+            ScheduleReplay.from_json(data)
+        assert "\n" not in str(info.value)
 
     def test_schedule_json_round_trip(self):
         sched = ScheduleReplay(

@@ -264,6 +264,87 @@ def test_every_rung_matches_the_closed_form_bit_for_bit():
         assert rb.witness_level == f
 
 
+def _spend_path(rng, state):
+    """Yield after each spend of a seeded path: mostly tiny requests that
+    move no rung, some that jump orders several rungs at once, and a last
+    one that puts every order on rung 64."""
+    sched = state.schedule
+    orders = state.orders
+    exponents = [0] * len(orders)
+    for step in range(60):
+        if step == 59:
+            exponents = [MAX_FILTER_INDEX - 1] * len(orders)
+        elif rng.random() < 0.3:
+            exponents = [
+                min(MAX_FILTER_INDEX - 2, e + rng.randint(0, 8)) for e in exponents
+            ]
+        else:
+            spend(state, RdpCurve(orders, tuple(
+                1e-9 * sched.level(1, a) for a in orders
+            )))
+            yield
+            continue
+        # a target in (level(e), level(e + 1)) puts the order on rung e + 1
+        targets = [
+            max(s, math.ldexp(sched.level(1, a), e) * rng.uniform(0.51, 0.99))
+            for s, a, e in zip(state.spent.values, orders, exponents)
+        ]
+        spend(state, RdpCurve(orders, tuple(
+            t - s for t, s in zip(targets, state.spent.values)
+        )))
+        yield
+
+
+@pytest.mark.parametrize("orders", [OrderSet([2.0, 32.0]), default_order_set()])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_running_bound_after_every_spend_is_the_fresh_argmin(orders, seed):
+    state = new_odometer(DELTA, orders)
+    top_reached = False
+    for _ in _spend_path(random.Random(seed), state):
+        cands = bound_candidates(state)
+        best = min(cands.values())
+        first = next(a for a in orders if cands[a] == best)
+        rb = running_bound(state)
+        assert (rb.eps_dp, rb.witness_order, rb.witness_level, rb.delta) == (
+            best, first, filter_index(state, first), DELTA
+        )
+        for alpha in orders:
+            assert filter_index(state, alpha) == filter_index_from_spent(
+                state.schedule, state.spent.value(alpha), alpha
+            )
+        top_reached = top_reached or all(
+            filter_index(state, a) == MAX_FILTER_INDEX for a in orders
+        )
+    assert top_reached
+
+
+def _snapshot(state):
+    return (state.spent.values, list(state._f), running_bound(state), state.step)
+
+
+@pytest.mark.parametrize(
+    "make_request",
+    [
+        # order 2 would climb one rung; order 32 overflows rung 64
+        lambda s: RdpCurve(s.orders, (s.schedule.level(2, 2.0),
+                                      2.0 * s.schedule.level(MAX_FILTER_INDEX, 32.0))),
+        lambda s: RdpCurve.from_mapping({2.0: 1.0, 4.0: 1.0}),
+    ],
+    ids=["past-rung-64", "other-order-set"],
+)
+def test_failed_spend_leaves_the_state_unchanged(make_request):
+    orders = OrderSet([2.0, 32.0])
+    state = new_odometer(DELTA, orders)
+    spend(state, RdpCurve(orders, (0.0, 1.5 * state.schedule.level(1, 32.0))))
+    before = _snapshot(state)
+    with pytest.raises(ValueError):
+        spend(state, make_request(state))
+    assert _snapshot(state) == before
+    # the accountant still works after the refused call
+    spend(state, RdpCurve(orders, (state.schedule.level(2, 2.0), 0.0)))
+    assert filter_index(state, 2.0) == 2 and state.step == before[3] + 1
+
+
 def test_bound_ties_break_to_smallest_order():
     # Two copies of the same order cannot exist; instead exercise the tie
     # path with a symmetric two-order schedule where candidates differ,
