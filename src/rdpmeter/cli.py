@@ -7,8 +7,10 @@ All budgets, bounds, and epsilons are in nats. Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import random
 import sys
+from numbers import Real
 from typing import Optional
 
 from rdpmeter.core import (
@@ -197,18 +199,29 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _load_signal(path: str) -> list[float]:
+    def parse(data) -> list[float]:
+        # finite reals only; a bool is not a number here, as in PolicySpec
+        if not isinstance(data, list) or not all(
+            isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+            for x in data
+        ):
+            raise ValueError(f"{path}: expected a JSON list of finite numbers")
+        return [float(x) for x in data]
+
+    return _load(path, parse)
+
+
 def _cmd_policy(args) -> int:
     base = _load(args.base, ScheduleReplay.from_json)
-    signal = _read_json(args.signal)
-    if not isinstance(signal, list):
-        raise ValueError(f"{args.signal}: expected a JSON list of numbers")
+    signal = _load_signal(args.signal)
     policy = (
-        PolicySpec.from_json(_read_json(args.policy))
+        _load(args.policy, PolicySpec.from_json)
         if args.policy is not None
         else PolicySpec()
     )
     orders = _load_orders(args.orders_file)
-    adapted = simulate_policy(policy, [float(x) for x in signal], base, orders)
+    adapted = simulate_policy(policy, signal, base, orders)
     _emit(json.dumps(adapted.to_json()), args.out)
     return 0
 

@@ -26,6 +26,7 @@ from rdpmeter.filters import (
     FilterState,
     new_filter,
     new_filter_from_dp_target,
+    remaining,
     try_spend,
 )
 from rdpmeter.mechanisms import (
@@ -446,11 +447,12 @@ def simulate_policy(
 ) -> ScheduleReplay:
     """Apply the adaptation rule to a baseline schedule, accounting only.
 
-    The baseline's total spend acts as the budget cap, matching a run
-    that must live inside the same total loss as its non-adaptive
-    counterpart. The progress signal is an external input, one
-    measurement per period; each period also pays for its own evaluation
-    query, which is appended to the emitted schedule.
+    A sealed filter whose cap is the baseline's total spend admits every
+    query, in run order: the run lives inside the same total loss as its
+    non-adaptive counterpart and stops at the filter's first PASS, so the
+    emitted schedule holds only granted queries. The progress signal is
+    an external input, one measurement per period; each period also pays
+    for its own evaluation query, which is emitted after its epoch.
     """
     if orders is None:
         orders = default_order_set()
@@ -463,12 +465,11 @@ def simulate_policy(
             f"signal has {len(signal)} entries for {n_periods} periods "
             f"({len(base.steps)} epochs / {policy.period_epochs} per period)"
         )
-    cap = schedule_total(base, orders)
+    state = new_filter(schedule_total(base, orders), sealed=True)
     eval_mech = GaussianMechanism(sigma=policy.eval_sigma, sensitivity=1.0)
     eval_curve = gaussian_rdp_curve(eval_mech, orders)
     threshold = policy.threshold_sigmas * policy.eval_sigma
 
-    spent = [0.0] * len(orders)
     offset = 0.0
     out: list[ScheduleStep] = []
     for e, step in enumerate(base.steps):
@@ -479,43 +480,32 @@ def simulate_policy(
         if policy.sigma_ceiling is not None:
             sigma = min(sigma, policy.sigma_ceiling)
         adapted = GaussianMechanism(sigma=sigma, sensitivity=mech.sensitivity)
-        out.append(ScheduleStep(mech=adapted, count=step.count))
-        epoch_curve = gaussian_rdp_curve(adapted, orders)
-        for i in range(len(orders)):
-            spent[i] += step.count * epoch_curve.values[i]
+        rate = gaussian_rdp_curve(adapted, orders)
+        granted = 0
+        while granted < step.count and try_spend(state, rate) is Decision.GRANT:
+            granted += 1
+        if granted:
+            out.append(ScheduleStep(mech=adapted, count=granted))
+        if granted < step.count:
+            break
         if (e + 1) % policy.period_epochs == 0:
-            period = (e + 1) // policy.period_epochs - 1
+            if try_spend(state, eval_curve) is Decision.PASS:
+                break
             out.append(ScheduleStep(mech=eval_mech, count=1))
-            for i in range(len(orders)):
-                spent[i] += eval_curve.values[i]
-            if signal[period] >= threshold:
+            if signal[(e + 1) // policy.period_epochs - 1] >= threshold:
                 # budget decrease (more noise), gated on plenty of
-                # training still fitting under the cap at today's rate
-                if _epochs_admitted(cap, spent, adapted, step.count, orders) >= (
-                    policy.min_remaining_epochs
-                ):
+                # training still fitting under the cap at today's rate:
+                # the epochs that fit at the order with the most room
+                fit = [
+                    int(h / (step.count * r))
+                    for h, r in zip(remaining(state).values, rate.values)
+                    if r > 0.0  # a rate can underflow to 0
+                ]
+                if max(fit, default=0) >= policy.min_remaining_epochs:
                     offset += policy.sigma_increment
             else:
                 offset = max(0.0, offset - policy.sigma_increment)
     return ScheduleReplay(steps=tuple(out))
-
-
-def _epochs_admitted(
-    cap: RdpCurve,
-    spent: Sequence[float],
-    mech: GaussianMechanism,
-    count: int,
-    orders: OrderSet,
-) -> int:
-    """How many more epochs at this per-epoch rate fit under the cap."""
-    rate = gaussian_rdp_curve(mech, orders)
-    best = 0
-    for i in range(len(orders)):
-        headroom = cap.values[i] - spent[i]
-        per_epoch = count * rate.values[i]
-        if headroom > 0.0 and per_epoch > 0.0:
-            best = max(best, int(headroom / per_epoch))
-    return best
 
 
 # ----------------------------------------------------------------- export

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve
+from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve, _check_delta
 
 MAX_FILTER_INDEX = 64
 
@@ -61,8 +61,7 @@ class FilterSchedule:
     _base: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         m = len(self.orders)
         _check_log_arg(m, MAX_FILTER_INDEX, self.delta)
         rungs = range(1, MAX_FILTER_INDEX + 1)
@@ -212,8 +211,7 @@ def early_stopping_bound(
         raise ValueError(
             f"s must be an integer in [1, {len(eps_per_step)}], got {s}"
         )
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     orders = eps_per_step[0].orders
     for curve in eps_per_step[1:]:
         if curve.orders.orders != orders.orders:

@@ -285,8 +285,9 @@ class TestPolicyCommand:
         )
         assert code == 0
         steps = json.loads(out)["steps"]
-        # 20 training epochs + 2 eval queries
-        assert len(steps) == 22
+        # 10 training epochs, 1 eval query, then 10 more epochs, the last
+        # cut at 511 queries where the sealed filter first refuses
+        assert len(steps) == 21
 
     def test_signal_must_be_a_list(self, files, capsys, tmp_path):
         bad = tmp_path / "bad_signal.json"
@@ -302,6 +303,29 @@ class TestPolicyCommand:
         )
         assert code == 1
         assert "list" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[[1.0], 0.0]", "[true, 0.0]", "[NaN, 0.0]", "[0.0, Infinity]",
+         '[0.0, "1"]', "[1" + "0" * 400 + ", 0.0]"],
+        ids=["nested-list", "bool", "nan", "infinity", "string", "huge-int"],
+    )
+    def test_signal_must_hold_finite_numbers(self, files, capsys, tmp_path, text):
+        bad = tmp_path / "bad_signal.json"
+        bad.write_text(text)
+        code, out, err = run(
+            [
+                "policy",
+                "--base", files["base.json"],
+                "--signal", str(bad),
+                "--orders-file", files["orders.json"],
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "payload, message",

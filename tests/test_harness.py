@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
+from rdpmeter.filters import Decision, new_filter, try_spend
 from rdpmeter.harness import (
     FILTER,
     ODOMETER,
@@ -27,6 +29,7 @@ from rdpmeter.mechanisms import (
     DiscreteMechanism,
     GaussianMechanism,
     gaussian_rdp_curve,
+    mechanism_rdp_curve,
 )
 from rdpmeter.odometers import running_bound
 from rdpmeter.oracle import BOTTOM, AdversaryScript, ScriptNode
@@ -670,22 +673,26 @@ class TestSimulatePolicy:
     )
 
     def test_never_improving_signal_keeps_baseline_sigma(self):
+        # the eval queries' price leaves no room for the last training
+        # query: the sealed filter grants 511 of the 100th epoch's 512
         out = simulate_policy(PolicySpec(), [0.0] * 10, self.BASE, ORDERS24)
         training = [s for s in out.steps if s.count == 512]
-        assert len(training) == 100
+        assert len(training) == 99
         assert all(s.mech.sigma == 1.0 for s in training)
+        assert out.steps[-1] == ScheduleStep(GaussianMechanism(1.0), 511)
 
     def test_eval_queries_are_added_to_the_trace(self):
         out = simulate_policy(PolicySpec(), [0.0] * 10, self.BASE, ORDERS24)
         evals = [s for s in out.steps if s.count == 1]
-        assert len(evals) == 10
+        assert len(evals) == 9
         assert all(s.mech.sigma == 100.0 for s in evals)
-        base_total = schedule_total(self.BASE, ORDERS24)
+        # the run stopped one training query short of the baseline
+        train_curve = gaussian_rdp_curve(GaussianMechanism(1.0), ORDERS24)
         out_total = schedule_total(out, ORDERS24)
         eval_curve = gaussian_rdp_curve(GaussianMechanism(100.0), ORDERS24)
         for i in range(len(ORDERS24)):
             assert out_total.values[i] == pytest.approx(
-                base_total.values[i] + 10 * eval_curve.values[i]
+                (100 * 512 - 1) * train_curve.values[i] + 9 * eval_curve.values[i]
             )
 
     def test_improving_signal_ramps_sigma_by_increment(self):
@@ -764,7 +771,92 @@ class TestSimulatePolicy:
     def test_default_orders_are_used_when_unspecified(self):
         base = gaussian_schedule(10, count=1)
         out = simulate_policy(PolicySpec(), [0.0], base)
-        assert len(out.steps) == 11
+        # the 10 training queries fill the cap: the eval query is refused
+        assert len(out.steps) == 10
+
+    # sha256 of json.dumps(simulate_policy(...).to_json()) for inputs whose
+    # run stays under the baseline cap, where the filter refuses nothing:
+    # the adaptation rule alone decides these outputs
+    OUTPUT_SHA256 = {
+        "always-improving": (
+            [300.0] * 10,
+            "eef1f2655e3240d0de8dea8cdaf5e89fc20f513fae3694295db0dc20c50e95b4",
+        ),
+        "mixed": (
+            [1e9, 1e9] + [0.0] * 8,
+            "529a3a68674a99a1d30d81e5724377013a483e9eb1679e69522fdffe6a00dce8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+    def test_output_that_fits_the_cap_is_pinned(self, name):
+        signal, digest = self.OUTPUT_SHA256[name]
+        out = simulate_policy(PolicySpec(), signal, self.BASE, ORDERS24)
+        text = json.dumps(out.to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "policy, granted",
+        [(PolicySpec(), 25_008), (PolicySpec(sigma_ceiling=0.9), 20_257)],
+        ids=["never-improving", "sigma-ceiling"],
+    )
+    def test_emitted_schedule_stays_under_the_baseline_cap(self, policy, granted):
+        # 100 epochs x 250 queries at sigma 1 on the 38 default orders; the
+        # eval queries (and, under the ceiling, the smaller sigma) would
+        # take the run past the cap, so it stops at the filter's first PASS
+        base = gaussian_schedule(100, count=250)
+        out = simulate_policy(policy, [0.0] * 10, base)
+        assert sum(s.count for s in out.steps) == granted
+        assert _granted_whole(out, schedule_total(base, default_order_set()))
+
+
+def _granted_whole(schedule: ScheduleReplay, cap: RdpCurve) -> bool:
+    """Whether a fresh sealed filter at cap grants every query of schedule."""
+    state = new_filter(cap, sealed=True)
+    for step in schedule.steps:
+        curve = mechanism_rdp_curve(step.mech, cap.orders)
+        for _ in range(step.count):
+            if try_spend(state, curve) is Decision.PASS:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([ORDERS2, ORDERS24, OrderSet([1.5, 3.0, 8.0, 32.0])]),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.5, max_value=3.0),
+            st.integers(min_value=1, max_value=12),
+        ),
+        max_size=24,
+    ),
+    st.builds(
+        PolicySpec,
+        period_epochs=st.integers(min_value=1, max_value=4),
+        threshold_sigmas=st.sampled_from([0.0, 1.0, 3.0]),
+        sigma_increment=st.sampled_from([0.05, 0.1, 0.5]),
+        eval_sigma=st.sampled_from([2.0, 10.0, 100.0]),
+        sigma_floor=st.none() | st.floats(min_value=0.3, max_value=3.0),
+        sigma_ceiling=st.none() | st.floats(min_value=0.3, max_value=3.0),
+        min_remaining_epochs=st.integers(min_value=0, max_value=10),
+    ),
+    st.data(),
+)
+def test_policy_output_replays_under_the_baseline_cap(orders, epochs, policy, data):
+    base = ScheduleReplay(
+        steps=tuple(ScheduleStep(GaussianMechanism(s), c) for s, c in epochs)
+    )
+    n_periods = len(epochs) // policy.period_epochs
+    signal = data.draw(
+        st.lists(
+            st.sampled_from([0.0, 1e9]) | st.floats(min_value=0.0, max_value=500.0),
+            min_size=n_periods,
+            max_size=n_periods,
+        )
+    )
+    out = simulate_policy(policy, signal, base, orders)
+    assert _granted_whole(out, schedule_total(base, orders))
 
 
 class TestExport:
