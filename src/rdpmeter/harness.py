@@ -14,13 +14,14 @@ bounds, so a log that replays cleanly is internally consistent.
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from rdpmeter.core import OrderSet, RdpCurve, curve_add, default_order_set
+from rdpmeter.core import OrderSet, RdpCurve, _check_delta, curve_add, default_order_set
 from rdpmeter.filters import (
     Decision,
     FilterState,
@@ -122,8 +123,14 @@ class PolicySpec:
             if f.type is int:
                 kind, what = int, "an integer"
             else:
-                kind, what = Real, "a real number"
-            if isinstance(value, bool) or not isinstance(value, kind):
+                kind, what = Real, "a finite real number"
+            try:
+                ok = isinstance(value, kind) and not isinstance(value, bool) and (
+                    kind is int or math.isfinite(value)
+                )
+            except OverflowError:  # an int past the float range
+                ok = False
+            if not ok:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.period_epochs < 1:
             raise ValueError("period_epochs must be >= 1")
@@ -170,8 +177,7 @@ class SessionConfig:
         else:
             if self.cap is not None or self.dp_target is not None:
                 raise ValueError("odometer mode carries delta and orders only")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if (
@@ -232,13 +238,30 @@ def _bound_to_json(b: RunningBound) -> dict:
     return {"eps": b.eps_dp, "alpha": b.witness_order, "f": b.witness_level}
 
 
-def _f_per_alpha(state: OdometerState) -> dict:
-    return {
-        repr(alpha): state._f[i] for i, alpha in enumerate(state.orders)
-    }
+def _stepper(state: Union[FilterState, OdometerState]) -> Callable[[RdpCurve], dict]:
+    """The one record step, for the writer and the replay alike: feed a
+    request to the accountant and return the record's tail (every key
+    after "request"). An unchanged tail is the same object: one dict per
+    filter decision; an odometer's is rebuilt only when a rung moved."""
+    if isinstance(state, FilterState):
+        tails = {d: {"decision": d.value} for d in Decision}
+        return lambda request: tails[try_spend(state, request)]
+    built_for: Optional[RunningBound] = None
+    tail: dict = {}
 
+    def step(request: RdpCurve) -> dict:
+        nonlocal built_for, tail
+        spend(state, request)
+        bound = running_bound(state)
+        if bound is not built_for:  # a rung moved
+            built_for = bound
+            tail = {
+                "f_per_alpha": {repr(a): f for a, f in zip(state.orders, state._f)},
+                "bound": _bound_to_json(bound),
+            }
+        return tail
 
-_DECISION_JSON = {d: json.dumps(d.value) for d in Decision}
+    return step
 
 
 def run_session(config: SessionConfig) -> SessionLog:
@@ -246,9 +269,8 @@ def run_session(config: SessionConfig) -> SessionLog:
 
     Each record line is written as json.dumps would write the record,
     from fragments that are each encoded by json.dumps only when they
-    change: the request once per schedule step or script node, an
-    odometer's f_per_alpha and bound only when a rung moved (when
-    `running_bound` returns a new object).
+    change: the request once per schedule step or script node, the tail
+    only when `_stepper` returns a new one.
     """
     rng = np.random.default_rng(config.seed)
     header: dict = {
@@ -274,42 +296,26 @@ def run_session(config: SessionConfig) -> SessionLog:
         state = new_odometer(config.delta, config.orders)
         header["bound"] = _bound_to_json(running_bound(state))
     lines = [json.dumps(header) + "\n"]
+    advance = _stepper(state)
+    tail: Optional[dict] = None
+    tail_json = ""
 
-    if config.mode == FILTER:
-
-        def on_request(request: RdpCurve, request_json: str) -> Optional[Decision]:
-            # returns the decision so script walks can branch on denial
-            decision = try_spend(state, request)
-            lines.append(
-                f'{{"i": {len(lines)}, "request": {request_json}, '
-                f'"decision": {_DECISION_JSON[decision]}}}\n'
-            )
-            return decision
-
-    else:
-        encoded: Optional[RunningBound] = None
-        tail = ""
-
-        def on_request(request: RdpCurve, request_json: str) -> Optional[Decision]:
-            nonlocal encoded, tail
-            spend(state, request)
-            bound = running_bound(state)
-            if bound is not encoded:  # a rung moved
-                encoded = bound
-                tail = (
-                    f'"f_per_alpha": {json.dumps(_f_per_alpha(state))}, '
-                    f'"bound": {json.dumps(_bound_to_json(bound))}'
-                )
-            lines.append(
-                f'{{"i": {state.step}, "request": {request_json}, {tail}}}\n'
-            )
-            return None
+    def on_request(request: RdpCurve, request_json: str) -> dict:
+        nonlocal tail, tail_json
+        got = advance(request)
+        if got is not tail:
+            tail = got
+            tail_json = json.dumps(got)[1:-1]
+        lines.append(
+            f'{{"i": {len(lines)}, "request": {request_json}, {tail_json}}}\n'
+        )
+        return got
 
     if isinstance(config.source, AdversaryScript):
         node = config.source.root
         while node is not None:
-            decision = on_request(node.request, json.dumps(node.request.to_json()))
-            if decision is Decision.PASS:
+            got = on_request(node.request, json.dumps(node.request.to_json()))
+            if got.get("decision") == Decision.PASS:
                 outcome = BOTTOM
             else:
                 outcome = sample(node.mech, 0, rng)
@@ -336,13 +342,18 @@ def _read(where: str, record: dict, key: str, parse=None):
         raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 
+# how the replay names a diverging key whose value is too long to print
+_DIVERGES = {"f_per_alpha": "filter indices diverge", "bound": "running bound diverges"}
+
+
 def _replay(
     log: SessionLog,
 ) -> Iterator[tuple[dict, Union[FilterState, OdometerState]]]:
     """Open the accountant from the header and yield (header, accountant),
-    then re-execute each record and yield it with the accountant after it,
-    once the record has passed every check (see reconstruct). The
-    accountant is one object, updated in place."""
+    then re-execute each record through `_stepper` and yield it with the
+    accountant after it, once every key of the tail the step gives equals
+    the record's (see reconstruct). The accountant is one object, updated
+    in place."""
     header = log.header
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
@@ -366,9 +377,7 @@ def _replay(
     else:
         raise ValueError(f"unknown session kind {kind!r}")
     yield header, state
-    # an odometer's expected f_per_alpha and bound, rebuilt only when a
-    # rung moved (running_bound returns a new object)
-    expected_for: Optional[RunningBound] = None
+    advance = _stepper(state)
     for i, record in enumerate(log.events, start=1):
         where = f"record {i}"
         if not isinstance(record, dict):
@@ -376,24 +385,12 @@ def _replay(
         if record.get("i") != i:
             raise ValueError(f"{where} is numbered {record.get('i')!r}")
         request = _read(where, record, "request", RdpCurve.from_json)
-        if kind == FILTER:
-            decision = _read(where, record, "decision")
-            got = try_spend(state, request)
-            if got.value != decision:
-                raise ValueError(
-                    f"event {i}: log says {decision}, replay decides {got.value}"
-                )
-        else:
-            spend(state, request)
-            bound = running_bound(state)
-            if bound is not expected_for:
-                expected_for = bound
-                expected_f = _f_per_alpha(state)
-                expected_bound = _bound_to_json(bound)
-            if expected_f != _read(where, record, "f_per_alpha"):
-                raise ValueError(f"event {i}: filter indices diverge")
-            if expected_bound != _read(where, record, "bound"):
-                raise ValueError(f"event {i}: running bound diverges")
+        for key, expected in advance(request).items():
+            logged = _read(where, record, key)
+            if logged != expected:
+                raise ValueError(f"event {i}: " + _DIVERGES.get(
+                    key, f"log says {logged}, replay decides {expected}"
+                ))
         yield record, state
 
 

@@ -33,6 +33,10 @@ BOTTOM = "⊥"  # the null outcome emitted for denied/truncated steps
 MAX_DEPTH = 8
 MAX_OUTCOMES = 6
 VERIFY_TOL = 1e-9
+# random_script's chances: a child per outcome, a null-outcome child, slack
+_CONTINUE_PROB = 0.7
+_BOTTOM_CHILD_PROB = 0.4
+_SLACK_PROB = 0.3
 
 _STOP = "STOP"
 
@@ -405,9 +409,6 @@ def random_script(
     orders: OrderSet,
     max_depth: int = 4,
     max_outcomes: int = 4,
-    continue_prob: float = 0.7,
-    bottom_child_prob: float = 0.4,
-    slack_prob: float = 0.3,
 ) -> AdversaryScript:
     """Random adaptive script for corpus testing.
 
@@ -425,7 +426,7 @@ def random_script(
             tuple(f"v{i}" for i in range(n)), tuple(p0), tuple(p1)
         )
         true_curve = discrete_rdp_curve(mech, orders)
-        if rng.random() < slack_prob:
+        if rng.random() < _SLACK_PROB:
             factor = rng.uniform(1.0, 1.5)
             request = RdpCurve(
                 orders, tuple(factor * v for v in true_curve.values)
@@ -435,9 +436,9 @@ def random_script(
         children: dict[str, Optional[ScriptNode]] = {}
         if depth < max_depth:
             for label in mech.outcomes:
-                if rng.random() < continue_prob:
+                if rng.random() < _CONTINUE_PROB:
                     children[label] = gen(depth + 1)
-            if rng.random() < bottom_child_prob:
+            if rng.random() < _BOTTOM_CHILD_PROB:
                 children[BOTTOM] = gen(depth + 1)
         return ScriptNode(mech=mech, request=request, children=children)
 

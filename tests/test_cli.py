@@ -183,6 +183,20 @@ class TestFilterCommand:
         assert code == 0
         assert out.splitlines()[0] == "step,decision,spent_2.0,spent_4.0"
 
+    def test_delta_whose_log_overflows_is_a_validation_error(self, files, capsys):
+        code, out, err = run(
+            [
+                "filter",
+                "--cap", files["cap.json"],
+                "--delta", "1e-320",
+                "--schedule", files["sched.json"],
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "too small" in err
+
     def test_needs_exactly_one_budget_flag(self, files, capsys):
         code, _, err = run(
             [
@@ -333,6 +347,14 @@ class TestPolicyCommand:
             ({"bogus": 3}, "unknown policy keys: bogus"),
             ([1, 2], "JSON object"),
             ({"period_epochs": "10"}, "period_epochs must be an integer"),
+            (
+                {"min_remaining_epochs": 0, "sigma_increment": 10**400},
+                "sigma_increment must be a finite real number",
+            ),
+            (
+                {"threshold_sigmas": float("nan")},
+                "threshold_sigmas must be a finite real number",
+            ),
         ],
     )
     def test_malformed_policy_is_a_validation_error(

@@ -101,6 +101,21 @@ class TestSessionConfig:
                 mode=ODOMETER, orders=ORDERS2, delta=1e-5, seed=-1, source=src
             )
 
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_delta_whose_log_overflows_is_rejected(self, mode):
+        # the rule core uses everywhere: 1/delta must stay finite, so 1e-308
+        # still opens a session and 1e-320 is refused at construction
+        cap = _req(1.0) if mode == FILTER else None
+        SessionConfig(
+            mode=mode, orders=ORDERS2, delta=1e-308, seed=0,
+            source=gaussian_schedule(1), cap=cap,
+        )
+        with pytest.raises(ValueError, match="too small"):
+            SessionConfig(
+                mode=mode, orders=ORDERS2, delta=1e-320, seed=0,
+                source=gaussian_schedule(1), cap=cap,
+            )
+
     def test_cap_orders_must_match(self):
         with pytest.raises(ValueError):
             SessionConfig(
@@ -542,6 +557,25 @@ class TestLogText:
         climbs = [i for i in range(1, len(rungs)) if rungs[i] != rungs[i - 1]]
         assert [i + 1 for i in climbs] == [3, 5, 9, 13, 18]
 
+    @pytest.mark.parametrize("kind", list(SESSION_KINDS))
+    def test_every_tail_key_is_checked(self, kind):
+        # every key the writer puts after "request", on every record: a
+        # changed value is an event that diverges, a missing key is named
+        text = run_session(SESSION_KINDS[kind]).to_jsonl()
+        events = SessionLog.from_jsonl(text).events
+        keys = sorted({key for r in events for key in r} - {"i", "request"})
+        assert keys
+        for j in range(1, len(events) + 1):
+            for key in keys:
+                log = SessionLog.from_jsonl(text)
+                log.records[j][key] = ["tampered"]
+                with pytest.raises(ValueError, match=f"^event {j}: "):
+                    reconstruct(log)
+                log = SessionLog.from_jsonl(text)
+                del log.records[j][key]
+                with pytest.raises(ValueError, match=f"^record {j} has no '{key}'$"):
+                    reconstruct(log)
+
     def test_records_are_a_view_parsed_from_the_text(self):
         log = run_session(SESSION_KINDS["script"])
         text = log.to_jsonl()
@@ -646,6 +680,10 @@ class TestPolicySpec:
             {"eval_sigma": False},
             {"sigma_floor": "0.5"},
             {"sigma_ceiling": [2.0]},
+            {"threshold_sigmas": math.nan},
+            {"eval_sigma": math.inf},
+            {"sigma_floor": -math.inf},
+            {"sigma_increment": 10**400},
         ],
     )
     def test_field_types_are_checked(self, data):
