@@ -61,7 +61,9 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, undecodable UTF-8, or an integer literal past
+        # the interpreter's digit limit
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -325,7 +327,129 @@ def _declared_total(script: AdversaryScript, orders: OrderSet) -> list[float]:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _convert_flags(p) -> None:
+    p.add_argument("--curve", required=True, help="curve JSON file")
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--out")
+
+
+def _orders_flags(p) -> None:
+    p.add_argument(
+        "--granularity",
+        type=int,
+        help="emit the power-of-two set sized for n-outcome mechanisms",
+    )
+    p.add_argument("--out")
+
+
+def _session_flags(p) -> None:
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--orders-file")
+    p.add_argument("--script", help="adversary script JSON file")
+    p.add_argument("--schedule", help="budget schedule JSON file")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    p.add_argument("--out")
+
+
+def _filter_flags(p) -> None:
+    _session_flags(p)
+    p.add_argument("--cap", help="budget cap curve JSON file")
+    p.add_argument("--dp-target", type=float, help="target DP epsilon")
+    p.add_argument(
+        "--sealed",
+        action="store_true",
+        help="refuse every request after the first denial",
+    )
+
+
+def _replay_flags(p) -> None:
+    p.add_argument("--schedule", required=True)
+    p.add_argument("--orders-file")
+    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    p.add_argument("--out")
+
+
+def _policy_flags(p) -> None:
+    p.add_argument("--base", required=True, help="baseline schedule JSON file")
+    p.add_argument("--signal", required=True, help="per-period signal JSON list")
+    p.add_argument("--policy", help="policy parameters JSON file")
+    p.add_argument("--orders-file")
+    p.add_argument("--out")
+
+
+def _verify_filter_flags(p) -> None:
+    p.add_argument("--script", required=True)
+    p.add_argument("--cap", required=True)
+    p.add_argument("--out")
+
+
+def _verify_truncated_flags(p) -> None:
+    p.add_argument("--script", required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--orders-file")
+    p.add_argument("--out")
+
+
+def _gaussian_check_flags(p) -> None:
+    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sensitivity", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--orders-file")
+    p.add_argument("--out")
+
+
+def _selftest_flags(p) -> None:
+    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--out")
+
+
+# Every command: its path of words, help line, flags and handler. A call
+# builds the parser of its own command only; the overview, built from the
+# same table, serves argv that names no command.
+_COMMANDS = {
+    ("convert",): (
+        "convert a budget curve to a DP bound", _convert_flags, _cmd_convert
+    ),
+    ("orders",): ("emit an order set", _orders_flags, _cmd_orders),
+    (FILTER,): (f"run a {FILTER} session", _filter_flags, _cmd_filter),
+    (ODOMETER,): (f"run a {ODOMETER} session", _session_flags, _cmd_odometer),
+    ("replay",): (
+        "expand a schedule to a cumulative trace", _replay_flags, _cmd_replay
+    ),
+    ("policy",): ("apply the budget-adaptation rule", _policy_flags, _cmd_policy),
+    ("oracle", "verify-filter"): (
+        "certify a cap against a script",
+        _verify_filter_flags,
+        _cmd_oracle_verify_filter,
+    ),
+    ("oracle", "verify-truncated"): (
+        "certify a truncation level against a script",
+        _verify_truncated_flags,
+        _cmd_oracle_verify_truncated,
+    ),
+    ("oracle", "gaussian-check"): (
+        "closed-form Gaussian curve vs quadrature",
+        _gaussian_check_flags,
+        _cmd_oracle_gaussian_check,
+    ),
+    ("oracle", "selftest"): (
+        "random scripts against filter and truncation bounds",
+        _selftest_flags,
+        _cmd_oracle_selftest,
+    ),
+}
+# first words that take a second one, with their help lines
+_GROUPS = {("oracle",): "exact verification"}
+
+
+def _overview() -> argparse.ArgumentParser:
+    """Every command and its help, without flags: it prints the help of
+    `rdpmeter` and of a group, and raises the usage error for argv that
+    names no command."""
     parser = _Parser(
         prog="rdpmeter",
         description=(
@@ -334,110 +458,43 @@ def build_parser() -> argparse.ArgumentParser:
             "bounds are in nats."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert a budget curve to a DP bound")
-    p.add_argument("--curve", required=True, help="curve JSON file")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("orders", help="emit an order set")
-    p.add_argument(
-        "--granularity",
-        type=int,
-        help="emit the power-of-two set sized for n-outcome mechanisms",
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_orders)
-
-    for mode in (FILTER, ODOMETER):
-        p = sub.add_parser(mode, help=f"run a {mode} session")
-        p.add_argument("--delta", type=float, required=True)
-        p.add_argument("--orders-file")
-        p.add_argument("--script", help="adversary script JSON file")
-        p.add_argument("--schedule", help="budget schedule JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-        p.add_argument("--out")
-        if mode == FILTER:
-            p.add_argument("--cap", help="budget cap curve JSON file")
-            p.add_argument("--dp-target", type=float, help="target DP epsilon")
-            p.add_argument(
-                "--sealed",
-                action="store_true",
-                help="refuse every request after the first denial",
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (help_text, _, _) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:
+            subparsers[group] = (
+                subparsers[()]
+                .add_parser(group[0], help=_GROUPS[group])
+                .add_subparsers(dest=f"{group[0]}_command", required=True)
             )
-            p.set_defaults(func=_cmd_filter)
-        else:
-            p.set_defaults(func=_cmd_odometer)
-
-    p = sub.add_parser("replay", help="expand a schedule to a cumulative trace")
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--orders-file")
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("policy", help="apply the budget-adaptation rule")
-    p.add_argument("--base", required=True, help="baseline schedule JSON file")
-    p.add_argument("--signal", required=True, help="per-period signal JSON list")
-    p.add_argument("--policy", help="policy parameters JSON file")
-    p.add_argument("--orders-file")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_policy)
-
-    p = sub.add_parser("oracle", help="exact verification")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
-
-    q = osub.add_parser("verify-filter", help="certify a cap against a script")
-    q.add_argument("--script", required=True)
-    q.add_argument("--cap", required=True)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_oracle_verify_filter)
-
-    q = osub.add_parser(
-        "verify-truncated", help="certify a truncation level against a script"
-    )
-    q.add_argument("--script", required=True)
-    q.add_argument("--delta", type=float, required=True)
-    q.add_argument("--f", type=int, required=True)
-    q.add_argument("--orders-file")
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_oracle_verify_truncated)
-
-    q = osub.add_parser(
-        "gaussian-check", help="closed-form Gaussian curve vs quadrature"
-    )
-    q.add_argument("--sigma", type=float, required=True)
-    q.add_argument("--sensitivity", type=float, default=1.0)
-    q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--orders-file")
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_oracle_gaussian_check)
-
-    q = osub.add_parser(
-        "selftest", help="random scripts against filter and truncation bounds"
-    )
-    q.add_argument("--count", type=int, default=25)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--delta", type=float, default=0.05)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_oracle_selftest)
-
+        subparsers[group].add_parser(path[-1], help=help_text)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    path = tuple(argv[:1])
+    if path in _GROUPS:
+        path = tuple(argv[:2])
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        if path not in _COMMANDS:
+            _overview().parse_args(argv)
+            # the overview accepts only argv that starts with a command path
+            raise AssertionError(f"no command matched {argv!r}")
+        _, add_flags, handler = _COMMANDS[path]
+        parser = _Parser(prog="rdpmeter " + " ".join(path))
+        add_flags(parser)
+        return handler(parser.parse_args(argv[len(path):]))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # a flag value whose arithmetic leaves the float range
+        print(f"error: {exc!r}", file=sys.stderr)
         return 1
 
 

@@ -104,28 +104,24 @@ def gaussian_rdp_curve(mech: GaussianMechanism, orders: OrderSet) -> RdpCurve:
     return RdpCurve(orders, tuple(alpha * scale for alpha in orders))
 
 
-def _renyi_discrete(p: tuple[float, ...], q: tuple[float, ...], alpha: float) -> float:
-    # Ratio form q_i * (p_i/q_i)^alpha keeps intermediate terms near the
-    # probabilities themselves; fsum removes ordering effects.
-    terms = []
-    for pi, qi in zip(p, q):
-        if pi == 0.0:
-            continue
-        terms.append(qi * (pi / qi) ** alpha)
-    return math.log(math.fsum(terms)) / (alpha - 1.0)
-
-
 def discrete_rdp_curve(mech: DiscreteMechanism, orders: OrderSet) -> RdpCurve:
     """Symmetrized divergence curve: the worse of the two directions.
 
-    Divergences are clamped at zero; identical distributions can land a
-    few ulps negative through the ratio form.
+    Each direction is log(sum_i q_i * (p_i/q_i)^alpha) / (alpha - 1): the
+    ratio form keeps intermediate terms near the probabilities
+    themselves, and fsum removes ordering effects. The ratios are divided
+    once per mechanism. Divergences are clamped at zero; identical
+    distributions can land a few ulps negative through the ratio form.
     """
+    # shared support: p0 and p1 are zero at the same outcomes
+    support = [(p, q) for p, q in zip(mech.p0, mech.p1) if p != 0.0]
+    forward = [(q, p / q) for p, q in support]
+    backward = [(p, q / p) for p, q in support]
     values = []
     for alpha in orders:
-        d01 = _renyi_discrete(mech.p0, mech.p1, alpha)
-        d10 = _renyi_discrete(mech.p1, mech.p0, alpha)
-        values.append(max(d01, d10, 0.0))
+        d01 = math.log(math.fsum([w * r**alpha for w, r in forward]))
+        d10 = math.log(math.fsum([w * r**alpha for w, r in backward]))
+        values.append(max(d01 / (alpha - 1.0), d10 / (alpha - 1.0), 0.0))
     return RdpCurve(orders, tuple(values))
 
 

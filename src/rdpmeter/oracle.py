@@ -474,14 +474,23 @@ def _node_to_json(node: ScriptNode) -> dict:
 def script_from_json(data: Union[dict, str]) -> AdversaryScript:
     if data == _STOP:
         return AdversaryScript(root=None)
-    return AdversaryScript(root=_node_from_json(data))
+    return AdversaryScript(root=_node_from_json(data, {}))
 
 
-def _node_from_json(data: dict) -> ScriptNode:
+def _node_from_json(data: dict, order_sets: dict) -> ScriptNode:
+    """One node and its subtree; order_sets maps each order list already
+    read in this script to its OrderSet, so requests share one object."""
     mech = mechanism_from_json(data["mech"])
-    request = RdpCurve.from_json(data["request"])
+    key = tuple(data["request"]["orders"])
+    try:
+        orders = order_sets[key]
+    except (KeyError, TypeError):
+        # an unhashable entry is a list or an object, which OrderSet
+        # rejects with its own message
+        orders = order_sets[key] = OrderSet(key)
+    request = RdpCurve(orders, tuple(data["request"]["eps"]))
     children = {
-        label: None if child == _STOP else _node_from_json(child)
+        label: None if child == _STOP else _node_from_json(child, order_sets)
         for label, child in data.get("children", {}).items()
     }
     return ScriptNode(mech=mech, request=request, children=children)

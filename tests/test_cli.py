@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdpmeter
 from rdpmeter.cli import main
@@ -102,6 +107,20 @@ class TestConvert:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "too small" in err
+
+    def test_integer_past_the_digit_limit_is_a_validation_error(
+        self, capsys, tmp_path
+    ):
+        # json.load raises a plain ValueError past the interpreter's
+        # int-string limit (4,300 digits), not a JSONDecodeError
+        path = tmp_path / "curve.json"
+        path.write_text('{"orders": [2.0], "eps": [1' + "0" * 5000 + "]}")
+        code, out, err = run(
+            ["convert", "--curve", str(path), "--delta", "1e-5"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err
 
 
 class TestOrders:
@@ -431,6 +450,17 @@ class TestOracleCommands:
         assert code == 2
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-5", "1e-200"])
+    def test_sigma_whose_arithmetic_leaves_the_float_range_is_an_error(
+        self, capsys, sigma
+    ):
+        # OverflowError in the closed form, the quadrature's
+        # ArithmeticError, and ZeroDivisionError from 2 * sigma**2 == 0
+        code, out, err = run(["oracle", "gaussian-check", "--sigma", sigma], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run(
             ["oracle", "selftest", "--count", "5", "--seed", "7"],
@@ -463,6 +493,53 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "/no/such/dir" in err
+
+
+COMMAND_PATHS = [
+    ("convert",),
+    ("orders",),
+    ("filter",),
+    ("odometer",),
+    ("replay",),
+    ("policy",),
+    ("oracle", "verify-filter"),
+    ("oracle", "verify-truncated"),
+    ("oracle", "gaussian-check"),
+    ("oracle", "selftest"),
+]
+# cheap calls: a usage error for a missing flag, or a tiny run
+CHEAP_FLAGS = {("orders",): [], ("oracle", "selftest"): ["--count", "0"]}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_a_command_builds_only_its_own_parser(self, monkeypatch, capsys, path):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _, _ = run(list(path) + CHEAP_FLAGS.get(path, []), capsys)
+        assert code in (0, 1)
+        assert progs == ["rdpmeter " + " ".join(path)]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["oracle"]], ids=repr)
+    def test_argv_naming_no_command_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path", [()] + COMMAND_PATHS, ids=" ".join)
+    def test_help_exits_zero_under_the_command_name(self, capsys, path):
+        with pytest.raises(SystemExit) as exc:
+            main(list(path) + ["-h"])
+        assert exc.value.code == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(" ".join(("usage: rdpmeter",) + path) + " [-h]")
 
 
 GAUSSIAN_NO_SIGMA = {"steps": [{"mech": {"kind": "gaussian"}, "count": 1}]}
@@ -547,3 +624,63 @@ def test_cli_import_leaves_quadrature_unloaded():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+FLAG_NAMES = [
+    "--base", "--cap", "--count", "--curve", "--delta", "--dp-target", "--f",
+    "--format", "--granularity", "--orders-file", "--out", "--policy",
+    "--schedule", "--script", "--seed", "--sealed", "--sensitivity",
+    "--signal", "--sigma", "--tol", "-h", "--help",
+]
+# small values only: a large --count would make selftest run for long
+NUMBERS = ["0", "1", "2", "-1", "0.5", "1e-5", "1e-320", "1e400", "nan", "-0"]
+GARBAGE = ["", "-", "--", "-x", "--bogus", "--delta=", "jsonl", "csv", "é"]
+# relative to the working directory each call runs in
+BAD_FILES = {
+    "not-json": b"{orders",
+    "not-utf8": b"\xff\xfe{}",
+    "huge-int": b"[1" + b"0" * 5000 + b"]",
+    "list": b"[]",
+    "object": b"{}",
+    "nested": b'{"orders": [[2.0]], "eps": [1.0]}',
+}
+TOKENS = st.sampled_from(
+    sorted({word for path in COMMAND_PATHS for word in path})
+    + FLAG_NAMES + NUMBERS + GARBAGE + list(BAD_FILES) + ["missing.json"]
+)
+
+
+@st.composite
+def argvs(draw):
+    prefix = draw(st.sampled_from([[]] + [list(p) for p in COMMAND_PATHS]))
+    # flag-value pairs reach the handlers more often than loose tokens
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(FLAG_NAMES + GARBAGE), TOKENS), max_size=4)
+    )
+    return prefix + [t for pair in pairs for t in pair] + draw(
+        st.lists(TOKENS, max_size=2)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_code_or_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    # a fresh directory per call: a drawn --out writes there
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, content in BAD_FILES.items():
+                with open(name, "wb") as handle:
+                    handle.write(content)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and ("-h" in argv or "--help" in argv), argv
+            return
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdpmeter.core import OrderSet, RdpCurve, default_order_set
+from rdpmeter.core import (
+    OrderSet,
+    RdpCurve,
+    default_order_set,
+    granularity_order_set,
+)
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
     GaussianMechanism,
@@ -188,6 +193,61 @@ def test_merging_outcomes_never_increases_curve(m):
         c = discrete_rdp_curve(merged, SMALL_ORDERS)
         for v_merged, v_base in zip(c.values, base.values):
             assert v_merged <= v_base + 1e-9
+
+
+def _renyi_reference(p, q, alpha):
+    # the per-order form discrete_rdp_curve had before it divided the
+    # ratios once per mechanism; the two must agree bit for bit
+    terms = []
+    for pi, qi in zip(p, q):
+        if pi == 0.0:
+            continue
+        terms.append(qi * (pi / qi) ** alpha)
+    return math.log(math.fsum(terms)) / (alpha - 1.0)
+
+
+def _reference_curve(m, orders):
+    values = []
+    for alpha in orders:
+        d01 = _renyi_reference(m.p0, m.p1, alpha)
+        d10 = _renyi_reference(m.p1, m.p0, alpha)
+        values.append(max(d01, d10, 0.0))
+    return RdpCurve(orders, tuple(values))
+
+
+def _curve_or_error(curve_fn, m, orders):
+    try:
+        return [v.hex() for v in curve_fn(m, orders).values]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def mechanisms_with_shared_zeros(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    # weights from 1e-18 up, so ratios past the overflow point occur
+    weight = st.floats(min_value=1e-18, max_value=1.0)
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero[draw(st.integers(min_value=0, max_value=n - 1))] = False
+    w0 = [0.0 if z else draw(weight) for z in zero]
+    w1 = [0.0 if z else draw(weight) for z in zero]
+    t0, t1 = math.fsum(w0), math.fsum(w1)
+    return DiscreteMechanism(
+        tuple(f"o{i}" for i in range(n)),
+        tuple(w / t0 for w in w0),
+        tuple(w / t1 for w in w1),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    mechanisms_with_shared_zeros(),
+    st.sampled_from([default_order_set(), granularity_order_set(1000)]),
+)
+def test_discrete_curve_matches_per_order_reference(m, orders):
+    assert _curve_or_error(discrete_rdp_curve, m, orders) == _curve_or_error(
+        _reference_curve, m, orders
+    )
 
 
 # ---------------------------------------------------------------- sampling

@@ -380,6 +380,38 @@ def test_script_json_round_trip():
     assert back == script
 
 
+def _nodes(node):
+    yield node
+    for child in node.children.values():
+        if child is not None:
+            yield from _nodes(child)
+
+
+def test_reloaded_script_shares_one_order_set():
+    rng = random.Random(7)
+    script = random_script(rng, ORDERS, max_depth=4, max_outcomes=3)
+    back = script_from_json(json.loads(json.dumps(script_to_json(script))))
+    nodes = list(_nodes(back.root))
+    assert len(nodes) > 1
+    assert len({id(node.request.orders) for node in nodes}) == 1
+    assert [n.request for n in nodes] == [n.request for n in _nodes(script.root)]
+
+
+def test_reload_still_checks_every_node():
+    child = honest_node(rr(0.75))
+    data = script_to_json(AdversaryScript(root=honest_node(rr(0.6), {"a": child})))
+    under = json.loads(json.dumps(data))
+    under["children"]["a"]["request"]["eps"] = [0.0] * len(ORDERS)
+    with pytest.raises(ValueError, match="under-declares"):
+        script_from_json(under)
+    other = json.loads(json.dumps(data))
+    other["children"]["a"]["request"] = discrete_rdp_curve(
+        rr(0.75), OrderSet([2.0, 4.0])
+    ).to_json()
+    with pytest.raises(ValueError, match="share one order set"):
+        script_from_json(other)
+
+
 def test_empty_script_json():
     assert script_to_json(AdversaryScript(root=None)) == "STOP"
     assert script_from_json("STOP").root is None
