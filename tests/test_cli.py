@@ -454,7 +454,7 @@ class TestOracleCommands:
     def test_sigma_whose_arithmetic_leaves_the_float_range_is_an_error(
         self, capsys, sigma
     ):
-        # OverflowError in the closed form, the quadrature's
+        # OverflowError in the quadrature's integrand, the quadrature's
         # ArithmeticError, and ZeroDivisionError from 2 * sigma**2 == 0
         code, out, err = run(["oracle", "gaussian-check", "--sigma", sigma], capsys)
         assert code == 1
@@ -507,8 +507,8 @@ COMMAND_PATHS = [
     ("oracle", "gaussian-check"),
     ("oracle", "selftest"),
 ]
-# cheap calls: a usage error for a missing flag, or a tiny run
-CHEAP_FLAGS = {("orders",): [], ("oracle", "selftest"): ["--count", "0"]}
+# cheap calls: a usage error for a missing flag, `orders`, or an empty selftest
+CHEAP_FLAGS = {("oracle", "selftest"): ["--count", "0"]}
 
 
 class TestDispatch:
