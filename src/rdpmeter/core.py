@@ -9,7 +9,7 @@ conservative and deterministic.
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,39 @@ class RdpCurve:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RdpCurve":
-        return cls(OrderSet(data["orders"]), tuple(data["eps"]))
+        """Each eps is paired with the order listed at its position, so a
+        file may list its orders in any order."""
+        return _read_curve(data, {})
+
+
+def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[int]]]:
+    """The OrderSet of a JSON order list, and the listed position of each of
+    its sorted orders (None when the list is sorted). order_sets maps each
+    list already read to this pair; a caller reading many curves passes one
+    dict, so each distinct list is built and checked once."""
+    key = tuple(listed)
+    try:
+        return order_sets[key]
+    except (KeyError, TypeError):
+        # an unhashable entry is a list or an object, which OrderSet
+        # rejects with its own message
+        orders = OrderSet(key)
+    values = [float(a) for a in key]
+    positions = sorted(range(len(values)), key=values.__getitem__)
+    if positions == list(range(len(values))):
+        positions = None
+    order_sets[key] = orders, positions
+    return orders, positions
+
+
+def _read_curve(data: Mapping, order_sets: dict) -> RdpCurve:
+    """A JSON curve {"orders": [...], "eps": [...]}, each eps paired with
+    the order listed at its position; see _read_order_list for order_sets."""
+    orders, positions = _read_order_list(data["orders"], order_sets)
+    eps = tuple(data["eps"])
+    if positions is not None and len(eps) == len(positions):
+        eps = tuple(eps[k] for k in positions)
+    return RdpCurve(orders, eps)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ can construct it with sealed=True, which denies everything after the
 first PASS.
 """
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,24 +71,20 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
     PASS exactly when spent + request > cap at every order; the
     comparison is strict, so a request landing exactly on the cap is
     granted. Decisions are a pure function of (spent, request, cap);
-    PASS leaves spent bit-identical.
+    PASS leaves spent bit-identical: the new totals are kept only on
+    GRANT.
     """
-    if request.orders.orders != state.cap.orders.orders:
+    cap = state.cap
+    if request.orders is not cap.orders and request.orders.orders != cap.orders.orders:
         raise ValueError("request curve is defined over a different order set")
     if state.sealed and state._passed_once:
-        decision = Decision.PASS
-    else:
-        fits = any(
-            s + r <= c
-            for s, r, c in zip(state._spent, request.values, state.cap.values)
-        )
-        decision = Decision.GRANT if fits else Decision.PASS
-    if decision is Decision.GRANT:
-        for i, r in enumerate(request.values):
-            state._spent[i] += r
-    else:
-        state._passed_once = True
-    return decision
+        return Decision.PASS
+    new_spent = list(map(operator.add, state._spent, request.values))
+    if any(map(operator.le, new_spent, cap.values)):
+        state._spent = new_spent
+        return Decision.GRANT
+    state._passed_once = True
+    return Decision.PASS
 
 
 def remaining(state: FilterState) -> RdpCurve:

@@ -21,7 +21,15 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from rdpmeter.core import OrderSet, RdpCurve, _check_delta, curve_add, default_order_set
+from rdpmeter.core import (
+    OrderSet,
+    RdpCurve,
+    _check_delta,
+    _read_curve,
+    _read_order_list,
+    curve_add,
+    default_order_set,
+)
 from rdpmeter.filters import (
     Decision,
     FilterState,
@@ -358,8 +366,15 @@ def _replay(
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
     kind = header.get("kind")
+    # every curve of the log is read through one dict, seeded by the
+    # header's, so requests on the header's orders share its OrderSet
+    order_sets: dict = {}
+
+    def read_curve(data) -> RdpCurve:
+        return _read_curve(data, order_sets)
+
     if kind == FILTER:
-        cap = _read("header", header, "cap", RdpCurve.from_json)
+        cap = _read("header", header, "cap", read_curve)
         if "dp_target" in header and cap != new_filter_from_dp_target(
             _read("header", header, "dp_target", float),
             _read("header", header, "delta", float),
@@ -370,7 +385,8 @@ def _replay(
     elif kind == ODOMETER:
         state = new_odometer(
             _read("header", header, "delta", float),
-            _read("header", header, "orders", OrderSet),
+            _read("header", header, "orders",
+                  lambda listed: _read_order_list(listed, order_sets)[0]),
         )
         if _bound_to_json(running_bound(state)) != header.get("bound"):
             raise ValueError("header bound is not a fresh odometer's bound")
@@ -384,7 +400,10 @@ def _replay(
             raise ValueError(f"{where} is not a JSON object")
         if record.get("i") != i:
             raise ValueError(f"{where} is numbered {record.get('i')!r}")
-        request = _read(where, record, "request", RdpCurve.from_json)
+        request = _read(where, record, "request", read_curve)
+        if (request.orders is not state.orders
+                and request.orders.orders != state.orders.orders):
+            raise ValueError(f"{where}: request is on orders other than the header's")
         for key, expected in advance(request).items():
             logged = _read(where, record, key)
             if logged != expected:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from rdpmeter.core import OrderSet, RdpCurve
+from rdpmeter.core import OrderSet, RdpCurve, _read_curve
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
     discrete_rdp_curve,
@@ -478,17 +478,10 @@ def script_from_json(data: Union[dict, str]) -> AdversaryScript:
 
 
 def _node_from_json(data: dict, order_sets: dict) -> ScriptNode:
-    """One node and its subtree; order_sets maps each order list already
-    read in this script to its OrderSet, so requests share one object."""
+    """One node and its subtree; order_sets is the script's one dict for
+    `_read_curve`, so requests listing the same orders share one OrderSet."""
     mech = mechanism_from_json(data["mech"])
-    key = tuple(data["request"]["orders"])
-    try:
-        orders = order_sets[key]
-    except (KeyError, TypeError):
-        # an unhashable entry is a list or an object, which OrderSet
-        # rejects with its own message
-        orders = order_sets[key] = OrderSet(key)
-    request = RdpCurve(orders, tuple(data["request"]["eps"]))
+    request = _read_curve(data["request"], order_sets)
     children = {
         label: None if child == _STOP else _node_from_json(child, order_sets)
         for label, child in data.get("children", {}).items()

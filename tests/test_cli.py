@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,16 @@ class TestConvert:
             "delta": 1e-5,
         }
 
+    def test_each_eps_pairs_with_its_listed_order(self, tmp_path, capsys):
+        # eps(32) = 100 and eps(2) = 0, listed largest order first
+        path = tmp_path / "curve.json"
+        path.write_text('{"orders": [32, 2], "eps": [100, 0]}')
+        code, out, _ = run(["convert", "--curve", str(path), "--delta", "1e-5"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "eps": math.log(1.0 / 1e-5), "alpha": 2.0, "delta": 1e-5
+        }
+
     def test_missing_file_is_a_validation_error(self, files, capsys):
         code, _, err = run(
             ["convert", "--curve", files["tmp"] + "/nope.json", "--delta", "1e-5"],
@@ -171,6 +182,22 @@ class TestFilterCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_cap_listing_its_orders_in_any_order_writes_the_same_log(
+        self, files, tmp_path
+    ):
+        cap = json.load(open(files["cap.json"]))
+        reversed_cap = tmp_path / "reversed-cap.json"
+        reversed_cap.write_text(json.dumps(
+            {"orders": cap["orders"][::-1], "eps": cap["eps"][::-1]}
+        ))
+        outs = []
+        for cap_path in (files["cap.json"], str(reversed_cap)):
+            outs.append(tmp_path / f"log-{len(outs)}.jsonl")
+            argv = ["filter", "--cap", cap_path, "--delta", "1e-5",
+                    "--schedule", files["sched.json"], "--out", str(outs[-1])]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_dp_target_schedule_session(self, files, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ from rdpmeter.core import (
     DpGuarantee,
     OrderSet,
     RdpCurve,
+    _read_curve,
     curve_add,
     curve_to_dp,
     default_order_set,
@@ -92,6 +93,56 @@ def test_curve_json_round_trip_is_exact():
     back = RdpCurve.from_json(c.to_json())
     assert back == c
     assert back.values == c.values
+
+
+def test_json_curve_pairs_each_eps_with_its_listed_order():
+    back = RdpCurve.from_json({"orders": [32, 2], "eps": [5, 1]})
+    assert back.value(2.0) == 1.0 and back.value(32.0) == 5.0
+    # eps(32) = 100, eps(2) = 0: the bound is carried by order 2, not by a
+    # 0 misread at order 32
+    curve = RdpCurve.from_json({"orders": [32, 2], "eps": [100, 0]})
+    guarantee = curve_to_dp(curve, 1e-5)
+    assert guarantee.witness_order == 2.0
+    assert guarantee.epsilon == math.log(1.0 / 1e-5)
+
+
+@given(st.data())
+def test_json_curve_reads_the_same_in_any_listed_order(data):
+    orders = data.draw(
+        st.lists(st.floats(1.01, 1e6), min_size=1, max_size=12, unique=True)
+    )
+    eps = data.draw(
+        st.lists(st.floats(0.0, 1e6), min_size=len(orders), max_size=len(orders))
+    )
+    listed = data.draw(st.permutations(range(len(orders))))
+    curve = RdpCurve.from_mapping(dict(zip(orders, eps)))
+    back = RdpCurve.from_json(
+        {"orders": [orders[k] for k in listed], "eps": [eps[k] for k in listed]}
+    )
+    assert back.orders.orders == curve.orders.orders
+    assert [v.hex() for v in back.values] == [v.hex() for v in curve.values]
+
+
+def test_json_curve_with_a_wrong_eps_count_is_rejected():
+    for listed in ([2.0, 4.0], [4.0, 2.0]):
+        with pytest.raises(ValueError, match="3 values for 2 orders"):
+            RdpCurve.from_json({"orders": listed, "eps": [1.0, 2.0, 3.0]})
+
+
+def test_curves_read_through_one_dict_share_each_order_set():
+    order_sets: dict = {}
+    read = [
+        _read_curve({"orders": listed, "eps": [1.0, 2.0]}, order_sets)
+        for listed in ([2.0, 4.0], [2, 4], [4.0, 2.0], [2.0, 4.0], [4.0, 2.0])
+    ]
+    # (2, 4) and (2.0, 4.0) are one key; the reversed list is another
+    assert len(order_sets) == 2
+    assert len({id(c.orders) for c in read}) == 2
+    assert read[0].orders is read[1].orders is read[3].orders
+    assert read[2].orders is read[4].orders
+    assert [c.values for c in read] == [
+        (1.0, 2.0), (1.0, 2.0), (2.0, 1.0), (1.0, 2.0), (2.0, 1.0)
+    ]
 
 
 def test_curve_add_requires_same_orders():

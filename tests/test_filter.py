@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -84,6 +85,26 @@ def test_order_set_mismatch_rejected():
         try_spend(f, curve(a4=0.1))
 
 
+@pytest.mark.parametrize("passed_once", [False, True])
+def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
+    orders = OrderSet([2.0, 32.0])
+    f = new_filter(RdpCurve(orders, (1.0, 1.0)))
+    try_spend(f, RdpCurve(orders, (0.5, 0.25)))
+    if passed_once:
+        assert try_spend(f, RdpCurve(orders, (2.0, 2.0))) is Decision.PASS
+
+    def snapshot():
+        return [v.hex() for v in f.spent.values], f._passed_once
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="different order set"):
+        try_spend(f, RdpCurve.from_mapping({2.0: 0.1, 4.0: 0.1}))
+    assert snapshot() == before
+    # the accountant still works after the refused call
+    assert try_spend(f, RdpCurve(orders, (0.5, 0.0))) is Decision.GRANT
+    assert f.spent.values == (1.0, 0.25)
+
+
 def test_sealed_filter_denies_everything_after_first_pass():
     f = new_filter(curve(a2=1.0), sealed=True)
     assert try_spend(f, curve(a2=0.8)) is Decision.GRANT
@@ -153,6 +174,63 @@ def test_decision_depends_only_on_spent_request_cap(case):
             for s, q, c in zip(spent_before.values, r.values, cap.values)
         )
         assert decision is (Decision.GRANT if fits else Decision.PASS)
+
+
+def _reference_try_spend(state, request):
+    """try_spend as it was before its per-order work ran in map passes: a
+    generator for the test and an indexed += for the grant. Kept as the
+    reference the current form must match bit for bit."""
+    if request.orders.orders != state.cap.orders.orders:
+        raise ValueError("request curve is defined over a different order set")
+    if state.sealed and state._passed_once:
+        decision = Decision.PASS
+    else:
+        fits = any(
+            s + r <= c
+            for s, r, c in zip(state._spent, request.values, state.cap.values)
+        )
+        decision = Decision.GRANT if fits else Decision.PASS
+    if decision is Decision.GRANT:
+        for i, r in enumerate(request.values):
+            state._spent[i] += r
+    else:
+        state._passed_once = True
+    return decision
+
+
+_AMOUNTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1e-300),
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_try_spend_matches_the_reference_bit_for_bit(data):
+    n_orders = data.draw(st.integers(min_value=1, max_value=5))
+    orders = OrderSet([1.5 * 2.0**i for i in range(n_orders)])
+    cap = RdpCurve(
+        orders,
+        tuple(
+            data.draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+            for _ in range(n_orders)
+        ),
+    )
+    sealed = data.draw(st.booleans())
+    f, ref = new_filter(cap, sealed=sealed), new_filter(cap, sealed=sealed)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
+        values = [data.draw(_AMOUNTS) for _ in range(n_orders)]
+        if data.draw(st.booleans()):
+            # aim at the cap at one order: the gap left, or an ulp either side
+            k = data.draw(st.integers(min_value=0, max_value=n_orders - 1))
+            gap = cap.values[k] - ref._spent[k]
+            step = data.draw(st.sampled_from([0.0, math.inf, -math.inf]))
+            values[k] = max(0.0, gap if step == 0.0 else math.nextafter(gap, step))
+        request = RdpCurve(orders, tuple(values))
+        assert try_spend(f, request) is _reference_try_spend(ref, request)
+        assert [v.hex() for v in f.spent.values] == [v.hex() for v in ref.spent.values]
+        assert f._passed_once == ref._passed_once
 
 
 def test_safety_under_ten_thousand_random_requests():

@@ -466,6 +466,50 @@ class TestReconstruct:
         self._rejected(records, f"record 2 has no '{key}'")
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_request_on_other_orders_names_its_record(self, mode):
+        records = self._records(mode)
+        records[2]["request"] = _req(0.0).to_json()
+        self._rejected(
+            records, "^record 2: request is on orders other than the header's$"
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_request_with_reordered_orders_replays_the_same(self, mode):
+        records = self._records(mode)
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        for record in records[1:]:
+            record["request"]["orders"].reverse()
+            record["request"]["eps"].reverse()
+        reversed_text = "".join(json.dumps(r) + "\n" for r in records)
+        assert reversed_text != text
+        want = reconstruct(SessionLog.from_jsonl(text)).spent
+        assert reconstruct(SessionLog.from_jsonl(reversed_text)).spent == want
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_replay_reads_requests_on_the_header_order_set(self, mode, monkeypatch):
+        config = SessionConfig(
+            mode=mode,
+            orders=default_order_set(),
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(1, sigma=100.0, count=250),
+            dp_target=5.0 if mode == FILTER else None,
+        )
+        log = SessionLog.from_jsonl(run_session(config).to_jsonl())
+        built = []
+        init = OrderSet.__init__
+
+        def counting_init(self, orders):
+            built.append(1)
+            init(self, orders)
+
+        monkeypatch.setattr(OrderSet, "__init__", counting_init)
+        reconstruct(log)
+        # the header's cap (filter) or orders, and a filter's dp_target check;
+        # not one per record
+        assert len(built) <= 2
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
     def test_line_that_is_not_an_object_is_rejected(self, mode):
         records = self._records(mode)
         self._rejected([[1, 2]] + records[1:], "header is not a JSON object")

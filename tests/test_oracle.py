@@ -412,6 +412,17 @@ def test_reload_still_checks_every_node():
         script_from_json(other)
 
 
+def test_reload_pairs_each_eps_with_its_listed_order():
+    child = honest_node(rr(0.75))
+    script = AdversaryScript(root=honest_node(rr(0.6), {"a": child}))
+    data = json.loads(json.dumps(script_to_json(script)))
+    request = data["children"]["a"]["request"]
+    request["orders"].reverse()
+    request["eps"].reverse()
+    back = script_from_json(data)
+    assert back.root.children["a"].request == child.request
+
+
 def test_empty_script_json():
     assert script_to_json(AdversaryScript(root=None)) == "STOP"
     assert script_from_json("STOP").root is None

@@ -46,3 +46,35 @@ def test_session_log_keeps_its_method_kinds():
 
     assert inspect.isfunction(SessionLog.__dict__["to_jsonl"])
     assert isinstance(SessionLog.__dict__["from_jsonl"], classmethod)
+
+
+def test_every_filter_decision_goes_through_try_spend(monkeypatch):
+    # filters.try_spend.calls counts what the tracer sees through these two
+    # names; a session loop that decided admission inline would read 0
+    from rdpmeter import filters, harness
+    from rdpmeter.core import default_order_set
+    from rdpmeter.mechanisms import GaussianMechanism
+
+    calls = []
+    original = filters.try_spend
+
+    def counted(state, request):
+        calls.append(1)
+        return original(state, request)
+
+    monkeypatch.setattr(filters, "try_spend", counted)
+    monkeypatch.setattr(harness, "try_spend", counted)
+    config = harness.SessionConfig(
+        mode=harness.FILTER,
+        orders=default_order_set(),
+        delta=1e-5,
+        seed=0,
+        source=harness.ScheduleReplay(
+            steps=(harness.ScheduleStep(GaussianMechanism(2.0), 250),)
+        ),
+        dp_target=8.0,
+    )
+    log = harness.run_session(config)
+    assert len(calls) == 250
+    harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
+    assert len(calls) == 500
