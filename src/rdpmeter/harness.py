@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields
 from numbers import Real
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from rdpmeter.core import (
     OrderSet,
     RdpCurve,
@@ -186,6 +184,8 @@ class SessionConfig:
             if self.cap is not None or self.dp_target is not None:
                 raise ValueError("odometer mode carries delta and orders only")
         _check_delta(self.delta)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if (
@@ -280,7 +280,6 @@ def run_session(config: SessionConfig) -> SessionLog:
     change: the request once per schedule step or script node, the tail
     only when `_stepper` returns a new one.
     """
-    rng = np.random.default_rng(config.seed)
     header: dict = {
         "kind": config.mode,
         "delta": config.delta,
@@ -320,6 +319,11 @@ def run_session(config: SessionConfig) -> SessionLog:
         return got
 
     if isinstance(config.source, AdversaryScript):
+        # imported here, its only use: numpy is most of a CLI start-up's
+        # import time, and only a script session draws
+        import numpy as np
+
+        rng = np.random.default_rng(config.seed)
         node = config.source.root
         while node is not None:
             got = on_request(node.request, json.dumps(node.request.to_json()))
@@ -346,7 +350,7 @@ def _read(where: str, record: dict, key: str, parse=None):
         return record[key]
     try:
         return parse(record[key])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 

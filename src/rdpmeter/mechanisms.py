@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import numpy as np
-
 from rdpmeter.core import OrderSet, RdpCurve
 
 PROB_SUM_TOL = 1e-12
@@ -138,7 +136,7 @@ def mechanism_rdp_curve(mech: Mechanism, orders: OrderSet) -> RdpCurve:
     raise TypeError(f"unknown mechanism type {type(mech).__name__}")
 
 
-def sample(mech: Mechanism, world: int, rng: np.random.Generator):
+def sample(mech: Mechanism, world: int, rng: "numpy.random.Generator"):
     """Draw one output from the world-b distribution.
 
     Gaussian mechanisms model the worst-case neighboring pair: the query
@@ -152,7 +150,7 @@ def sample(mech: Mechanism, world: int, rng: np.random.Generator):
         return float(center + rng.normal(0.0, mech.sigma))
     if isinstance(mech, DiscreteMechanism):
         probs = mech.p0 if world == 0 else mech.p1
-        idx = rng.choice(len(mech.outcomes), p=np.asarray(probs))
+        idx = rng.choice(len(mech.outcomes), p=probs)
         return mech.outcomes[int(idx)]
     if isinstance(mech, RawCurve):
         raise TypeError("raw curves carry no output distribution to sample")

@@ -631,26 +631,58 @@ def test_schedule_count_that_is_not_an_integer_is_a_validation_error(
     assert err.count("\n") == 1 and "count must be an integer" in err
 
 
+def _run_fresh(program, *args):
+    """Run program in a fresh interpreter that imports this rdpmeter."""
+    src = os.path.dirname(os.path.dirname(rdpmeter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", program, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_import_leaves_quadrature_unloaded():
     # scipy.integrate serves only `oracle gaussian-check`, which loads it
-    program = (
+    _run_fresh(
         "import sys\n"
         "import rdpmeter.cli\n"
         "assert 'scipy.integrate' not in sys.modules\n"
         "code = rdpmeter.cli.main(['oracle', 'gaussian-check', '--sigma', '2', "
         "'--out', sys.argv[1]])\n"
         "assert 'scipy.integrate' in sys.modules\n"
-        "sys.exit(code)\n"
+        "sys.exit(code)\n",
+        os.devnull,
     )
-    src = os.path.dirname(os.path.dirname(rdpmeter.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", program, os.devnull],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
+
+
+def test_only_a_script_session_loads_numpy(files):
+    # numpy serves only the draws of a script session; schedule sessions
+    # and the oracle's exact checks load neither numpy nor scipy
+    out = os.path.join(files["tmp"], "session.jsonl")
+    calls = [
+        (["filter", "--schedule", files["sched.json"], "--cap", files["cap.json"],
+          "--delta", "1e-5", "--out", out], []),
+        (["odometer", "--schedule", files["sched.json"], "--orders-file",
+          files["orders.json"], "--delta", "1e-5", "--out", out], []),
+        (["oracle", "verify-filter", "--script", files["script.json"],
+          "--cap", files["cap.json"]], []),
+        (["filter", "--script", files["script.json"], "--cap", files["cap.json"],
+          "--delta", "1e-5", "--out", out], ["numpy"]),
+    ]
+    _run_fresh(
+        "import json, sys\n"
+        "import rdpmeter.cli\n"
+        "def heavy():\n"
+        "    return sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert heavy() == [], heavy()\n"
+        "for argv, want in json.loads(sys.argv[1]):\n"
+        "    assert rdpmeter.cli.main(argv) == 0, argv\n"
+        "    assert heavy() == want, (argv[:2], heavy())\n",
+        json.dumps(calls),
     )
-    assert result.returncode == 0, result.stderr
 
 
 FLAG_NAMES = [

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from rdpmeter.mechanisms import (
     mechanism_rdp_curve,
 )
 from rdpmeter.odometers import running_bound
-from rdpmeter.oracle import BOTTOM, AdversaryScript, ScriptNode
+from rdpmeter.oracle import BOTTOM, AdversaryScript, ScriptNode, random_script
 
 ORDERS2 = OrderSet([2.0])
 ORDERS24 = OrderSet([2.0, 4.0])
@@ -100,6 +101,20 @@ class TestSessionConfig:
             SessionConfig(
                 mode=ODOMETER, orders=ORDERS2, delta=1e-5, seed=-1, source=src
             )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize("source", ["schedule", "script"])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "7"])
+    def test_seed_must_be_an_integer(self, mode, source, seed):
+        # a schedule session never draws, so nothing else would refuse it
+        # and the header would carry the value as given
+        cap = _req(1.0) if mode == FILTER else None
+        src = gaussian_schedule(1) if source == "schedule" else chain_script()
+        with pytest.raises(ValueError, match="^seed must be an integer, got ") as info:
+            SessionConfig(
+                mode=mode, orders=ORDERS2, delta=1e-5, seed=seed, source=src, cap=cap
+            )
+        assert len(str(info.value).splitlines()) == 1
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
     def test_delta_whose_log_overflows_is_rejected(self, mode):
@@ -263,6 +278,39 @@ class TestRunSession:
             )
             lengths.add(len(run_session(config).events))
         assert lengths == {1, 2}
+
+    # sha256 of the logs of 40 random scripts on ORDERS_SCRIPT per mode and
+    # session seed; the draws come from numpy's default_rng(seed), so these
+    # change only if the generator, its seeding or a draw changes
+    SCRIPT_LOG_SHA256 = {
+        (FILTER, 0): "6aa9690dbdd21aa137eade961258b38b158a60d9d7135e32ecc38d2ebfee0f5a",
+        (FILTER, 7): "9afff8ffd3831b55cc91b1535da5d8e7ca045babc112cac86616e5651d583757",
+        (FILTER, 2**63 + 5): "353526058bdb2ede4fb0022743324f4134c550263ca91607f7234079ed9c026b",
+        (ODOMETER, 0): "4f63fa323dca83eb9667f7cb6661ae1c378a363c20b01145f59c4319a1e35620",
+        (ODOMETER, 7): "3807ec8801e83c0780a770bc4765f3af729cb9bb64b0434fafc1d14096385c17",
+        (ODOMETER, 2**63 + 5): "a5c5822badc513afa19d649e53d7078981e0bec910c62ab24371e8c2ee621ea9",
+    }
+    ORDERS_SCRIPT = OrderSet([1.5, 2.0, 4.0, 16.0])
+
+    @pytest.mark.parametrize("mode, seed", list(SCRIPT_LOG_SHA256), ids=str)
+    def test_script_session_log_bytes_are_pinned(self, mode, seed):
+        orders = self.ORDERS_SCRIPT
+        rng = random.Random(16)
+        digest = hashlib.sha256()
+        decisions = set()
+        for _ in range(40):
+            script = random_script(rng, orders)
+            # twice the first request: the cap binds on some paths only
+            cap = None
+            if mode == FILTER:
+                cap = RdpCurve(orders, tuple(2.0 * v for v in script.root.request.values))
+            log = run_session(SessionConfig(
+                mode=mode, orders=orders, delta=1e-5, seed=seed, source=script, cap=cap
+            ))
+            digest.update(log.to_jsonl().encode())
+            decisions.update(r.get("decision") for r in log.events)
+        assert decisions == ({"GRANT", "PASS"} if mode == FILTER else {None})
+        assert digest.hexdigest() == self.SCRIPT_LOG_SHA256[mode, seed]
 
 
 class TestReconstruct:
@@ -471,6 +519,23 @@ class TestReconstruct:
         records[2]["request"] = _req(0.0).to_json()
         self._rejected(
             records, "^record 2: request is on orders other than the header's$"
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (lambda r: r["eps"].__setitem__(0, -1.0), "finite and >= 0, got -1.0"),
+            (lambda r: r["orders"].__setitem__(0, 1.0), "finite real > 1, got 1.0"),
+            (lambda r: r["eps"].pop(), "1 values for 2 orders"),
+        ],
+        ids=["negative-eps", "order-at-1", "eps-count"],
+    )
+    def test_request_with_an_invalid_value_names_its_record(self, mode, tamper, detail):
+        records = self._records(mode)
+        tamper(records[2]["request"])
+        self._rejected(
+            records, f"^record 2 has a malformed 'request': ValueError\\(.*{detail}"
         )
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])

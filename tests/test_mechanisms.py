@@ -280,6 +280,26 @@ def test_same_seed_same_outcome():
     )
 
 
+def _sample_with_array(mech, world, rng):
+    # the form sample used while it built the float64 array itself
+    probs = mech.p0 if world == 0 else mech.p1
+    return mech.outcomes[int(rng.choice(len(mech.outcomes), p=np.asarray(probs)))]
+
+
+@settings(max_examples=200)
+@given(
+    mechanisms_with_shared_zeros(),
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_discrete_draws_match_an_explicit_float64_array(m, world, seed):
+    # choice converts the probability tuple itself, to the same array
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [sample(m, world, rng) for _ in range(5)] == [
+        _sample_with_array(m, world, reference) for _ in range(5)
+    ]
+
+
 def test_sampling_raw_curve_is_an_error():
     raw = RawCurve(RdpCurve.from_mapping({2.0: 0.5}))
     with pytest.raises(TypeError):
