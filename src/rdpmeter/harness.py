@@ -184,10 +184,9 @@ class SessionConfig:
             if self.cap is not None or self.dp_target is not None:
                 raise ValueError("odometer mode carries delta and orders only")
         _check_delta(self.delta)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         if (
             isinstance(self.source, AdversaryScript)
             and self.source.orders is not None
