@@ -26,8 +26,7 @@ from rdpmeter.harness import (
     PolicySpec,
     ScheduleReplay,
     SessionConfig,
-    SessionLog,
-    log_to_csv,
+    format_log,
     replay_schedule,
     run_session,
     simulate_policy,
@@ -141,13 +140,6 @@ def _session_source(args):
     return _load(args.schedule, ScheduleReplay.from_json)
 
 
-def _emit_log(log: SessionLog, args) -> None:
-    if args.format == "csv":
-        _emit(log_to_csv(log), args.out)
-    else:
-        _emit(log.to_jsonl(), args.out)
-
-
 def _cmd_filter(args) -> int:
     if (args.cap is None) == (args.dp_target is None):
         raise _UsageError("exactly one of --cap / --dp-target is required")
@@ -163,7 +155,7 @@ def _cmd_filter(args) -> int:
         dp_target=args.dp_target,
         sealed=args.sealed,
     )
-    _emit_log(run_session(config), args)
+    _emit(format_log(run_session(config), args.format), args.out)
     return 0
 
 
@@ -177,7 +169,7 @@ def _cmd_odometer(args) -> int:
         seed=args.seed,
         source=source,
     )
-    _emit_log(run_session(config), args)
+    _emit(format_log(run_session(config), args.format), args.out)
     return 0
 
 

@@ -200,7 +200,11 @@ class SessionLog:
 
     The text is the log. `records` (and `header`, `events`) is a view
     parsed from it on first access and then kept: editing the view
-    changes what `reconstruct` checks, never `to_jsonl()`.
+    changes what `reconstruct` checks, never `to_jsonl()`. The view
+    equals `[json.loads(line) for line in text.splitlines() if
+    line.strip()]`, each record with its own containers, but each
+    distinct record line is parsed once (`_parse_records`): a session
+    repeats one request and tail thousands of times in a row.
     """
 
     def __init__(
@@ -215,9 +219,7 @@ class SessionLog:
     @property
     def records(self) -> list[dict]:
         if self._records is None:
-            records = [
-                json.loads(line) for line in self._text.splitlines() if line.strip()
-            ]
+            records = _parse_records(self._text)
             if not records:
                 raise ValueError("session log is empty")
             self._records = records
@@ -239,6 +241,86 @@ class SessionLog:
         log = cls(text)
         log.records  # parse now, so malformed JSON fails at load
         return log
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The nonblank lines of text.splitlines(), one at a time. A "\\n"
+    always ends a line; the piece before it is split by splitlines, which
+    knows the other boundaries ("\\r", "\\x0b", "\\x1c", "\\u2028", ...)."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = len(text)
+        for line in text[start:stop].splitlines():
+            if line.strip():
+                yield line
+        start = stop + 1
+
+
+def _copier(value) -> Callable[[], object]:
+    """A function returning the JSON object or list value with fresh
+    containers and the same (immutable) leaves. Each container is copied
+    in one call and linked to its copied parent; no recursion, so any
+    depth json.loads reaches is copied."""
+    containers = [value]
+    links = []  # (parent, key, child), as positions in containers
+    for parent, container in enumerate(containers):  # breadth first
+        items = container.items() if isinstance(container, dict) else enumerate(container)
+        for key, item in items:
+            if isinstance(item, (dict, list)):
+                links.append((parent, key, len(containers)))
+                containers.append(item)
+
+    def copy():
+        fresh = [c.copy() for c in containers]
+        for parent, key, child in links:
+            fresh[parent][key] = fresh[child]
+        return fresh[0]
+
+    return copy
+
+
+def _parse_records(text: str) -> list:
+    """json.loads of each nonblank line, each distinct line parsed once.
+
+    A line that is byte for byte '{"i": n' plus the text after the "i"
+    value of the last line json.loads read, n being its position, is a
+    copy of that line's record with "i" set to n, once json.dumps is seen
+    to reproduce that line: JSON text parses the same wherever it stands,
+    and a reproduced line has no duplicate key. Every other line goes
+    through json.loads, so the same lines raise the same errors, and a
+    line that no later line repeats costs only its json.loads."""
+    records: list = []
+    # the last line json.loads read, its record, the line's text after its
+    # "i" value, and the record's copier, made when a line first repeats it
+    last = parsed = suffix = copy = None
+    for line in _lines(text):
+        head = f'{{"i": {len(records)}'
+        if (
+            suffix is not None
+            and len(line) == len(head) + len(suffix)
+            and line.startswith(head)
+            and line.endswith(suffix)
+        ):
+            if copy is None and json.dumps(parsed) == last:
+                copy = _copier(parsed)
+            if copy is not None:
+                record = copy()
+                record["i"] = len(records)
+                records.append(record)
+                continue
+        last = line
+        parsed = json.loads(line)
+        records.append(parsed)
+        copy = suffix = None
+        if (
+            isinstance(parsed, dict)
+            and next(iter(parsed), None) == "i"
+            and type(parsed["i"]) is int
+        ):
+            suffix = line[len('{"i": ') + len(str(parsed["i"])):]
+    return records
 
 
 def _bound_to_json(b: RunningBound) -> dict:
@@ -353,6 +435,22 @@ def _read(where: str, record: dict, key: str, parse=None):
         raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 
+def _same(logged, expected) -> bool:
+    """logged == expected, each leaf of the same type too: a log that says
+    true or 1.0 where the writer wrote 1 is not the writer's."""
+    if type(logged) is not type(expected) or logged != expected:
+        return False
+    if isinstance(expected, dict):
+        # equal objects hold the same keys: pair the values by key
+        logged, expected = list(map(logged.__getitem__, expected)), list(expected.values())
+    elif not isinstance(expected, list):
+        return True
+    types = list(map(type, expected))
+    if list(map(type, logged)) != types:
+        return False
+    return (dict not in types and list not in types) or all(map(_same, logged, expected))
+
+
 # how the replay names a diverging key whose value is too long to print
 _DIVERGES = {"f_per_alpha": "filter indices diverge", "bound": "running bound diverges"}
 
@@ -391,25 +489,34 @@ def _replay(
             _read("header", header, "orders",
                   lambda listed: _read_order_list(listed, order_sets)[0]),
         )
-        if _bound_to_json(running_bound(state)) != header.get("bound"):
+        if not _same(header.get("bound"), _bound_to_json(running_bound(state))):
             raise ValueError("header bound is not a fresh odometer's bound")
     else:
         raise ValueError(f"unknown session kind {kind!r}")
     yield header, state
     advance = _stepper(state)
+    request = data = None  # the last request read, as a curve and as data
     for i, record in enumerate(log.events, start=1):
         where = f"record {i}"
         if not isinstance(record, dict):
             raise ValueError(f"{where} is not a JSON object")
-        if record.get("i") != i:
-            raise ValueError(f"{where} is numbered {record.get('i')!r}")
-        request = _read(where, record, "request", read_curve)
-        if (request.orders is not state.orders
-                and request.orders.orders != state.orders.orders):
-            raise ValueError(f"{where}: request is on orders other than the header's")
+        n = record.get("i")
+        if isinstance(n, bool) or not isinstance(n, int) or n != i:
+            raise ValueError(f"{where} is numbered {n!r}")
+        # Equal request data read to the same curve but for the sign of a
+        # zero: float() maps 1, 1.0 and true alike, and -0.0 == 0.0. The
+        # accountants only add request values to totals that start at 0.0
+        # and compare the sums, and x + -0.0 is x + 0.0 for every such x,
+        # so reusing the last curve gives bit-identical steps.
+        if request is None or record.get("request") != data:
+            request = _read(where, record, "request", read_curve)
+            data = record["request"]
+            if (request.orders is not state.orders
+                    and request.orders.orders != state.orders.orders):
+                raise ValueError(f"{where}: request is on orders other than the header's")
         for key, expected in advance(request).items():
             logged = _read(where, record, key)
-            if logged != expected:
+            if not _same(logged, expected):
                 raise ValueError(f"event {i}: " + _DIVERGES.get(
                     key, f"log says {logged}, replay decides {expected}"
                 ))
@@ -530,15 +637,19 @@ def simulate_policy(
 # ----------------------------------------------------------------- export
 
 
-def export(log: SessionLog, fmt: str, path: str) -> str:
-    """Write the log as JSONL ("json") or a flat table ("csv")."""
+def format_log(log: SessionLog, fmt: str) -> str:
+    """The log as JSONL ("json" or "jsonl") or as a flat table ("csv")."""
     fmt = fmt.lower()
     if fmt in ("json", "jsonl"):
-        payload = log.to_jsonl()
-    elif fmt == "csv":
-        payload = log_to_csv(log)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
+        return log.to_jsonl()
+    if fmt == "csv":
+        return log_to_csv(log)
+    raise ValueError(f"unknown export format {fmt!r}")
+
+
+def export(log: SessionLog, fmt: str, path: str) -> str:
+    """Write the log as JSONL ("json") or a flat table ("csv")."""
+    payload = format_log(log, fmt)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload)

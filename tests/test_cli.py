@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import rdpmeter
 from rdpmeter.cli import main
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
-from rdpmeter.harness import SessionLog, reconstruct
+from rdpmeter.harness import SessionLog, export, reconstruct
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
     GaussianMechanism,
@@ -228,6 +228,24 @@ class TestFilterCommand:
         )
         assert code == 0
         assert out.splitlines()[0] == "step,decision,spent_2.0,spent_4.0"
+
+    @pytest.mark.parametrize("mode", ["filter", "odometer"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_out_file_is_what_export_writes(self, files, capsys, mode, fmt):
+        # one writer: the CLI and export format a log through one switch
+        argv = [mode, "--delta", "1e-5", "--schedule", files["sched.json"]]
+        if mode == "filter":
+            argv += ["--cap", files["cap.json"]]
+        out = os.path.join(files["tmp"], f"cli.{fmt}")
+        assert run(argv + ["--format", fmt, "--out", out], capsys)[0] == 0
+        jsonl = os.path.join(files["tmp"], "log.jsonl")
+        assert run(argv + ["--out", jsonl], capsys)[0] == 0
+        with open(jsonl, encoding="utf-8") as handle:
+            log = SessionLog.from_jsonl(handle.read())
+        again = os.path.join(files["tmp"], f"export.{fmt}")
+        export(log, fmt, again)
+        with open(out, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
 
     def test_delta_whose_log_overflows_is_a_validation_error(self, files, capsys):
         code, out, err = run(

@@ -419,6 +419,45 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="record 2 is numbered 7"):
             reconstruct(log)
 
+    @staticmethod
+    def _odometer_log():
+        config = SessionConfig(
+            mode=ODOMETER,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(3, sigma=100.0),
+        )
+        return SessionLog.from_jsonl(run_session(config).to_jsonl())
+
+    @pytest.mark.parametrize("number", [True, 2.0])
+    def test_a_number_equal_to_the_position_must_be_an_int(self, number):
+        log = self._odometer_log()
+        reconstruct(log)
+        log.records[int(number)]["i"] = number
+        with pytest.raises(ValueError, match=f"^record {int(number)} is numbered {number!r}$"):
+            reconstruct(log)
+
+    @pytest.mark.parametrize("retyped", [float, bool])
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            (lambda log: log.events[1]["f_per_alpha"], "^event 2: filter indices diverge$"),
+            (lambda log: log.events[2]["bound"], "^event 3: running bound diverges$"),
+            (lambda log: log.header["bound"], "^header bound is not a fresh odometer's bound$"),
+        ],
+        ids=["f_per_alpha", "bound", "header bound"],
+    )
+    def test_a_rung_equal_to_the_writers_must_be_an_int(self, retyped, where, message):
+        # sigma 100 stays on rung 1: 1.0 and true equal it but are not ints
+        log = self._odometer_log()
+        rungs = where(log)
+        key = "f" if "f" in rungs else "4.0"
+        assert type(rungs[key]) is int and rungs[key] == 1
+        rungs[key] = retyped(rungs[key])
+        with pytest.raises(ValueError, match=message):
+            reconstruct(log)
+
     def test_tampered_header_bound_is_rejected(self):
         config = SessionConfig(
             mode=ODOMETER,

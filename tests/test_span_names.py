@@ -78,3 +78,37 @@ def test_every_filter_decision_goes_through_try_spend(monkeypatch):
     assert len(calls) == 250
     harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
     assert len(calls) == 500
+
+
+def test_every_odometer_step_goes_through_spend(monkeypatch):
+    # odometers.spend.calls likewise: the replay reads each distinct
+    # request once, but still spends once per record
+    from rdpmeter import harness, odometers
+    from rdpmeter.core import default_order_set
+    from rdpmeter.mechanisms import GaussianMechanism
+
+    calls = []
+    original = odometers.spend
+
+    def counted(state, request):
+        calls.append(1)
+        return original(state, request)
+
+    monkeypatch.setattr(odometers, "spend", counted)
+    monkeypatch.setattr(harness, "spend", counted)
+    config = harness.SessionConfig(
+        mode=harness.ODOMETER,
+        orders=default_order_set(),
+        delta=1e-5,
+        seed=0,
+        source=harness.ScheduleReplay(
+            steps=(
+                harness.ScheduleStep(GaussianMechanism(2.0), 150),
+                harness.ScheduleStep(GaussianMechanism(3.0), 100),
+            )
+        ),
+    )
+    log = harness.run_session(config)
+    assert len(calls) == 250
+    harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
+    assert len(calls) == 500
