@@ -243,6 +243,10 @@ def _cmd_oracle_verify_truncated(args) -> int:
 
 
 def _cmd_oracle_gaussian_check(args) -> int:
+    # NaN would compare false against any error and Infinity true, and
+    # neither is valid JSON in the report
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     orders = _load_orders(args.orders_file)
     mech = GaussianMechanism(sigma=args.sigma, sensitivity=args.sensitivity)
     closed = gaussian_rdp_curve(mech, orders)

@@ -6,7 +6,8 @@ enumerated exactly: each leaf's probability is the product of conditional
 outcome probabilities along its path. Divergences computed on those views
 certify the accountants' bounds end to end, independently of the
 accounting code paths. Gaussian curves, which have no finite view tree,
-are certified separately by adaptive quadrature.
+are certified separately by adaptive quadrature, with a stdlib-only
+Gauss-Kronrod rule.
 
 Denied and truncated steps emit a dedicated null outcome with probability
 one in both worlds. Such a factor contributes nothing to any divergence,
@@ -17,7 +18,10 @@ collapsed into a single terminal null without changing any divergence.
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Mapping, Optional, Union
 
 from rdpmeter.core import OrderSet, RdpCurve, _read_curve
@@ -109,9 +113,15 @@ def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
 
 @dataclass(frozen=True)
 class ViewDistribution:
-    """Probability of each complete outcome sequence in one world."""
+    """Probability of each complete outcome sequence in one world, and the
+    log-probability of each sequence in its support (probability > 0)."""
 
     probs: Mapping[tuple, float]
+    logs: Mapping[tuple, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        logs = {k: math.log(p) for k, p in self.probs.items() if p > 0.0}
+        object.__setattr__(self, "logs", logs)
 
     def total(self) -> float:
         return math.fsum(self.probs.values())
@@ -159,18 +169,29 @@ class OdometerPolicy:
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Terminate the interaction once the running sum at one order would
-    climb past the given schedule level."""
+    climb past the given schedule level.
+
+    The level and the order's index are read once, when the policy is
+    built; requests must be on the schedule's orders, as
+    `verify_truncated_odometer` checks.
+    """
 
     schedule: FilterSchedule
     f: int
     alpha: float
+    _index: int = field(init=False, repr=False, compare=False)
+    _level: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", self.schedule.orders.index(self.alpha))
+        object.__setattr__(self, "_level", self.schedule.level(self.f, self.alpha))
 
     def initial(self):
         return 0.0
 
     def admit(self, total, request: RdpCurve):
-        nxt = total + request.value(self.alpha)
-        if nxt <= self.schedule.level(self.f, self.alpha):
+        nxt = total + request.values[self._index]
+        if nxt <= self._level:
             return "deliver", nxt
         return "stop", total
 
@@ -245,14 +266,19 @@ def renyi_divergence_views(
     """Exact divergence of order alpha between two view distributions."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
-    support0 = {k for k, p in v0.probs.items() if p > 0.0}
-    support1 = {k for k, p in v1.probs.items() if p > 0.0}
-    if support0 != support1:
+    logs0, logs1 = v0.logs, v1.logs
+    if logs0.keys() != logs1.keys():
         raise ValueError("view supports differ; the divergence is infinite")
-    terms = [
-        math.exp(alpha * math.log(v0.probs[k]) + (1.0 - alpha) * math.log(v1.probs[k]))
-        for k in support0
-    ]
+    # exp(alpha*log p0 + (1-alpha)*log p1) per leaf, in C-level passes;
+    # fsum is exact, so the order of the terms does not matter
+    terms = map(
+        math.exp,
+        map(
+            add,
+            map(mul, repeat(alpha), logs0.values()),
+            map(mul, repeat(1.0 - alpha), map(logs1.__getitem__, logs0)),
+        ),
+    )
     return math.log(math.fsum(terms)) / (alpha - 1.0)
 
 
@@ -357,6 +383,69 @@ def verify_truncated_odometer(
 
 # -------------------------------------------------------------- quadrature
 
+# QUADPACK's qk21 table (Piessens et al. 1983), one row per node pair +-x
+# in (0, 1): x, its 21-point Kronrod weight, and its 10-point Gauss weight.
+# The Gauss pairs come first, so a sum over the Gauss weights stops after
+# their 10 nodes; the center node 0 has Kronrod weight _KRONROD_CENTER.
+_QK21 = (
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.2943928627014602, 0.14277593857706009, 0.0),
+)
+_KRONROD_CENTER = 0.1494455540029169
+_NODES = tuple(t for x, _, _ in _QK21 for t in (-x, x)) + (0.0,)
+_KRONROD = tuple(w for _, w, _ in _QK21 for _ in "-+") + (_KRONROD_CENTER,)
+_GAUSS = tuple(w for _, _, w in _QK21[:5] for _ in "-+")
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+
+def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+    """(error, a, b, integral) of f over [a, b] by the 21-point Kronrod rule.
+
+    f maps a list of abscissae to their values. The error is QUADPACK's:
+    the Kronrod-Gauss difference, scaled by resasc (the rule's integral of
+    |f - mean|) and floored at 50 ulps of the integral (f >= 0 here, so
+    the integral of |f| is the integral itself).
+    """
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    values = list(f([center + half * t for t in _NODES]))
+    kronrod = sum(map(mul, _KRONROD, values))
+    err = abs((kronrod - sum(map(mul, _GAUSS, values))) * half)
+    resasc = abs(half) * sum(
+        map(mul, _KRONROD, map(abs, map(sub, values, repeat(0.5 * kronrod))))
+    )
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    value = kronrod * half
+    return max(_ROUNDOFF * abs(value), err), a, b, value
+
+
+def _quad(f, a: float, b: float, tol: float, limit: int) -> tuple[float, float]:
+    """(integral, error) of f over [a, b] by adaptive Gauss-Kronrod
+    quadrature, as QUADPACK's qag: bisect the interval with the largest
+    error until the summed error is within tol, absolute or relative to
+    the integral, or limit intervals are in use."""
+    intervals = [_qk21(f, a, b)]
+    err, _, _, value = intervals[0]
+    while err > max(tol, tol * abs(value)) and len(intervals) < limit:
+        worst = max(intervals)
+        intervals.remove(worst)
+        worst_err, lo, hi, worst_value = worst
+        mid = 0.5 * (lo + hi)
+        halves = (_qk21(f, lo, mid), _qk21(f, mid, hi))
+        intervals += halves
+        err += halves[0][0] + halves[1][0] - worst_err
+        value += halves[0][3] + halves[1][3] - worst_value
+    return math.fsum(interval[3] for interval in intervals), err
+
 
 def numeric_renyi_gaussian(sigma: float, shift: float, alpha: float) -> float:
     """Divergence between N(0, sigma^2) and N(shift, sigma^2) by quadrature.
@@ -366,7 +455,9 @@ def numeric_renyi_gaussian(sigma: float, shift: float, alpha: float) -> float:
     for large alpha, and its peak overflows double precision in raw form.
     Integrating exp(g - g_max) over a window around the peak (widened to
     cover both distributions) keeps everything in range; the peak height
-    is added back in log space.
+    is added back in log space. The integral is taken by `_quad`, a
+    stdlib-only adaptive 21-point Gauss-Kronrod rule, to 1e-12 absolute
+    and relative error on at most 200 intervals.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -374,25 +465,23 @@ def numeric_renyi_gaussian(sigma: float, shift: float, alpha: float) -> float:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     if shift < 0.0:
         raise ValueError(f"shift must be >= 0, got {shift}")
-    # imported here, its only use: scipy.integrate is most of a CLI
-    # start-up's import time, and only `oracle gaussian-check` needs it
-    from scipy import integrate
-
     lognorm = math.log(sigma * math.sqrt(2.0 * math.pi))
+    tilt = 1.0 - alpha
+    two_var = 2.0 * sigma * sigma
 
-    def g(x: float) -> float:
-        return (
-            -(alpha * x * x + (1.0 - alpha) * (x - shift) ** 2)
-            / (2.0 * sigma * sigma)
-            - lognorm
-        )
+    def g(xs: list, top: float) -> list:
+        """g(x) - top at each x; g(x) - 0.0 is g(x) exactly."""
+        return [
+            -(alpha * x * x + tilt * (x - shift) ** 2) / two_var - lognorm - top
+            for x in xs
+        ]
 
     mode = -(alpha - 1.0) * shift  # the quadratic's stationary point
-    gmax = g(mode)
+    (gmax,) = g([mode], 0.0)
     lo = min(-20.0 * sigma, mode - 25.0 * sigma)
     hi = max(shift + 20.0 * sigma, mode + 25.0 * sigma)
-    value, err = integrate.quad(
-        lambda x: math.exp(g(x) - gmax), lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200
+    value, err = _quad(
+        lambda xs: map(math.exp, g(xs, gmax)), lo, hi, tol=1e-12, limit=200
     )
     if value <= 0.0 or err / value > 1e-8 * (alpha - 1.0):
         raise ArithmeticError(

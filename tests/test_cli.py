@@ -495,6 +495,19 @@ class TestOracleCommands:
         assert code == 2
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_gaussian_check_tolerance_must_be_finite_and_nonnegative(
+        self, capsys, tol
+    ):
+        # NaN is not valid JSON in the report and fails every comparison;
+        # Infinity would report "ok" whatever the error
+        code, out, err = run(
+            ["oracle", "gaussian-check", "--sigma", "2.0", "--tol", tol], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--tol" in err
+
     @pytest.mark.parametrize("sigma", ["1e200", "1e-5", "1e-200"])
     def test_sigma_whose_arithmetic_leaves_the_float_range_is_an_error(
         self, capsys, sigma
@@ -663,14 +676,15 @@ def _run_fresh(program, *args):
 
 
 def test_cli_import_leaves_quadrature_unloaded():
-    # scipy.integrate serves only `oracle gaussian-check`, which loads it
+    # `oracle gaussian-check` integrates with the oracle's own
+    # Gauss-Kronrod rule; neither the import nor the check loads scipy
     _run_fresh(
         "import sys\n"
         "import rdpmeter.cli\n"
         "assert 'scipy.integrate' not in sys.modules\n"
         "code = rdpmeter.cli.main(['oracle', 'gaussian-check', '--sigma', '2', "
         "'--out', sys.argv[1]])\n"
-        "assert 'scipy.integrate' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
         "sys.exit(code)\n",
         os.devnull,
     )
@@ -678,9 +692,10 @@ def test_cli_import_leaves_quadrature_unloaded():
 
 def test_only_a_script_session_loads_numpy(files):
     # numpy serves only the draws of a script session; schedule sessions
-    # and the oracle's exact checks load neither numpy nor scipy
+    # and the oracle's checks load neither numpy nor scipy
     out = os.path.join(files["tmp"], "session.jsonl")
     calls = [
+        (["oracle", "gaussian-check", "--sigma", "2", "--out", out], []),
         (["filter", "--schedule", files["sched.json"], "--cap", files["cap.json"],
           "--delta", "1e-5", "--out", out], []),
         (["odometer", "--schedule", files["sched.json"], "--orders-file",
@@ -699,6 +714,36 @@ def test_only_a_script_session_loads_numpy(files):
         "for argv, want in json.loads(sys.argv[1]):\n"
         "    assert rdpmeter.cli.main(argv) == 0, argv\n"
         "    assert heavy() == want, (argv[:2], heavy())\n",
+        json.dumps(calls),
+    )
+
+
+def test_every_command_runs_with_scipy_blocked(files):
+    # the runtime needs numpy only; an import of scipy fails in this child
+    calls = [
+        ["convert", "--curve", files["curve.json"], "--delta", "1e-5"],
+        ["orders"],
+        ["filter", "--schedule", files["sched.json"], "--cap", files["cap.json"],
+         "--delta", "1e-5"],
+        ["filter", "--script", files["script.json"], "--cap", files["cap.json"],
+         "--delta", "1e-5"],
+        ["odometer", "--schedule", files["sched.json"], "--orders-file",
+         files["orders.json"], "--delta", "1e-5"],
+        ["replay", "--schedule", files["sched.json"]],
+        ["policy", "--base", files["base.json"], "--signal", files["signal.json"]],
+        ["oracle", "verify-filter", "--script", files["script.json"],
+         "--cap", files["cap.json"]],
+        ["oracle", "verify-truncated", "--script", files["script.json"],
+         "--delta", "0.05", "--f", "2"],
+        ["oracle", "gaussian-check", "--sigma", "2"],
+        ["oracle", "selftest", "--count", "2"],
+    ]
+    _run_fresh(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import rdpmeter.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert rdpmeter.cli.main(argv) == 0, argv\n",
         json.dumps(calls),
     )
 

@@ -2,10 +2,16 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from rdpmeter.core import OrderSet, RdpCurve
-from rdpmeter.mechanisms import DiscreteMechanism, discrete_rdp_curve
+from rdpmeter.core import OrderSet, RdpCurve, default_order_set
+from rdpmeter.mechanisms import (
+    DiscreteMechanism,
+    GaussianMechanism,
+    discrete_rdp_curve,
+    gaussian_rdp_curve,
+)
 from rdpmeter.odometers import FilterSchedule
 from rdpmeter.oracle import (
     BOTTOM,
@@ -16,6 +22,10 @@ from rdpmeter.oracle import (
     OdometerPolicy,
     ScriptNode,
     TruncationPolicy,
+    _GAUSS,
+    _KRONROD,
+    _NODES,
+    _quad,
     enumerate_views,
     numeric_renyi_gaussian,
     random_script,
@@ -357,6 +367,58 @@ def test_quadrature_handles_far_tilted_peak():
     assert numeric_renyi_gaussian(0.5, 1.0, 32.0) == pytest.approx(
         32.0 / (2.0 * 0.25), abs=1e-6
     )
+
+
+@pytest.mark.parametrize(
+    "weights, degree", [(_KRONROD, 31), (_GAUSS, 19)], ids=["kronrod", "gauss"]
+)
+def test_rule_integrates_polynomials_up_to_its_degree(weights, degree):
+    # the Gauss weights cover the first 10 nodes only (zip stops there)
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = sum(w * t**k for w, t in zip(weights, _NODES))
+        assert abs(got - exact) <= 1e-15, k
+
+
+def test_gauss_nodes_and_weights_match_legendre():
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(10)
+    got = sorted(zip(_NODES, _GAUSS))
+    assert len(got) == 10
+    for (t, w), want_t, want_w in zip(got, want_nodes, want_weights):
+        assert abs(t - want_t) <= 1e-15
+        assert abs(w - want_w) <= 1e-15
+
+
+def test_adaptive_rule_takes_quadpacks_steps():
+    # the normal bump on a window 25 deviations wide, as numeric_renyi_gaussian
+    # integrates it at large sigma; QUADPACK (scipy.integrate.quad) makes
+    # 357 evaluations here with an error estimate of 1.3117e-12, and so must
+    # a rule with the same table, error scaling and bisection
+    count = 0
+
+    def bump(xs):
+        nonlocal count
+        count += len(xs)
+        return [math.exp(-0.5 * x * x) for x in xs]
+
+    value, err = _quad(bump, -25.0, 25.0, tol=1e-12, limit=200)
+    assert count == 357
+    assert err == pytest.approx(1.3117e-12, rel=1e-2)
+    assert abs(value - math.sqrt(2.0 * math.pi)) <= 1e-15
+    # one interval: the rule alone is far off, and says so
+    value, err = _quad(bump, -25.0, 25.0, tol=1e-12, limit=1)
+    assert count == 357 + 21
+    assert err > abs(value - math.sqrt(2.0 * math.pi)) > 0.1
+
+
+@pytest.mark.parametrize(
+    "sigma", [0.5, 1.0, 2.0, 4.0, 40.0, 50.0, 60.0, 75.0, 95.0, 120.0, 140.0, 170.0]
+)
+def test_quadrature_matches_closed_form_on_default_orders(sigma):
+    orders = default_order_set()
+    closed = gaussian_rdp_curve(GaussianMechanism(sigma, 1.0), orders)
+    for alpha, want in zip(orders, closed.values):
+        assert abs(want - numeric_renyi_gaussian(sigma, 1.0, alpha)) <= 1e-12
 
 
 def test_quadrature_validates_inputs():
