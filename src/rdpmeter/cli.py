@@ -275,6 +275,9 @@ def _cmd_oracle_gaussian_check(args) -> int:
 
 
 def _cmd_oracle_selftest(args) -> int:
+    # no script would make a vacuous pass
+    if args.count < 1:
+        raise ValueError(f"--count must be an integer >= 1, got {args.count}")
     rng = random.Random(args.seed)
     orders = OrderSet([2.0, 4.0])
     schedule = FilterSchedule(delta=args.delta, orders=orders)

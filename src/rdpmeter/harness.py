@@ -4,11 +4,14 @@ plot-ready traces.
 
 A session log is JSONL text: the first line is a header carrying the
 configuration; each following line is one query record, numbered "i" by
-its position from 1. Accountants keep only their running state, so the
-log is the one per-query record and this module the one place that
-knows its format. `reconstruct`, the one replay, re-executes every
-recorded request and cross-checks header, numbering, decisions and
-bounds, so a log that replays cleanly is internally consistent.
+its position from 1. In format 2 (the header's "format") a record leaves
+out a request equal to the previous record's; a header without "format"
+is format 1, where every record carries its request. Accountants keep
+only their running state, so the log is the one per-query record and
+this module the one place that knows its format. `reconstruct`, the one
+replay, re-executes every recorded request and cross-checks header,
+numbering, decisions and bounds, so a log that replays cleanly is
+internally consistent.
 """
 
 import csv
@@ -56,6 +59,8 @@ from rdpmeter.oracle import BOTTOM, AdversaryScript
 
 FILTER = "filter"
 ODOMETER = "odometer"
+# the log format run_session writes
+FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -198,13 +203,14 @@ class SessionConfig:
 class SessionLog:
     """A session's JSONL text and, for a live run, its final accountant.
 
-    The text is the log. `records` (and `header`, `events`) is a view
-    parsed from it on first access and then kept: editing the view
-    changes what `reconstruct` checks, never `to_jsonl()`. The view
-    equals `[json.loads(line) for line in text.splitlines() if
-    line.strip()]`, each record with its own containers, but each
-    distinct record line is parsed once (`_parse_records`): a session
-    repeats one request and tail thousands of times in a row.
+    The text is the log, in format 1 or 2 (see run_session). `records`
+    (and `header`, `events`) is a view parsed from it on first access and
+    then kept: editing the view changes what `reconstruct` checks, never
+    `to_jsonl()`. The view equals `[json.loads(line) for line in
+    text.splitlines() if line.strip()]`, each record with its own
+    containers, but each distinct record line is parsed once
+    (`_parse_records`): a session repeats one tail, and in format 1 one
+    request, thousands of times in a row.
     """
 
     def __init__(
@@ -356,12 +362,17 @@ def _stepper(state: Union[FilterState, OdometerState]) -> Callable[[RdpCurve], d
 def run_session(config: SessionConfig) -> SessionLog:
     """Execute the interaction loop; deterministic given the seed.
 
+    The log is format 2: the header's first key is "format": 2, and a
+    record carries "request" only when its request's JSON text differs
+    from the previous record's, so no record after a schedule step's
+    first repeats its request; every other record is "i" and the tail.
     Each record line is written as json.dumps would write the record,
     from fragments that are each encoded by json.dumps only when they
     change: the request once per schedule step or script node, the tail
     only when `_stepper` returns a new one.
     """
     header: dict = {
+        "format": FORMAT,
         "kind": config.mode,
         "delta": config.delta,
         "orders": list(config.orders),
@@ -386,17 +397,21 @@ def run_session(config: SessionConfig) -> SessionLog:
     lines = [json.dumps(header) + "\n"]
     advance = _stepper(state)
     tail: Optional[dict] = None
-    tail_json = ""
+    tail_json = last_request_json = ""
 
     def on_request(request: RdpCurve, request_json: str) -> dict:
-        nonlocal tail, tail_json
+        nonlocal tail, tail_json, last_request_json
         got = advance(request)
         if got is not tail:
             tail = got
             tail_json = json.dumps(got)[1:-1]
-        lines.append(
-            f'{{"i": {len(lines)}, "request": {request_json}, {tail_json}}}\n'
-        )
+        if request_json == last_request_json:
+            lines.append(f'{{"i": {len(lines)}, {tail_json}}}\n')
+        else:
+            last_request_json = request_json
+            lines.append(
+                f'{{"i": {len(lines)}, "request": {request_json}, {tail_json}}}\n'
+            )
         return got
 
     if isinstance(config.source, AdversaryScript):
@@ -466,6 +481,9 @@ def _replay(
     header = log.header
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
+    v2 = "format" in header  # format 1 has no "format"
+    if v2 and (type(header["format"]) is not int or header["format"] != FORMAT):
+        raise ValueError(f"unknown log format {header['format']!r}")
     kind = header.get("kind")
     # every curve of the log is read through one dict, seeded by the
     # header's, so requests on the header's orders share its OrderSet
@@ -507,8 +525,10 @@ def _replay(
         # zero: float() maps 1, 1.0 and true alike, and -0.0 == 0.0. The
         # accountants only add request values to totals that start at 0.0
         # and compare the sums, and x + -0.0 is x + 0.0 for every such x,
-        # so reusing the last curve gives bit-identical steps.
-        if request is None or record.get("request") != data:
+        # so reusing the last curve gives bit-identical steps. A format 2
+        # record without a request repeats the previous record's.
+        elided = v2 and "request" not in record
+        if request is None or not elided and record.get("request") != data:
             request = _read(where, record, "request", read_curve)
             data = record["request"]
             if (request.orders is not state.orders
@@ -531,8 +551,9 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
     must carry its position as "i", and recorded decisions, filter
     indices, and bounds are cross-checked against the re-execution; any
     disagreement, and any line that is not an object with the keys its
-    kind needs, raises ValueError. A log cut after a whole record still
-    replays.
+    kind needs, raises ValueError. A format 2 record without a request
+    repeats the previous record's; a header "format" other than 2 is
+    rejected. A log cut after a whole record still replays.
     """
     for _, state in _replay(log):
         pass

@@ -529,6 +529,14 @@ class TestOracleCommands:
         assert report["failures"] == 0
         assert report["checks"] == 20
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_selftest_of_no_script_is_an_error(self, capsys, count):
+        # a count below 1 checks nothing, so it cannot report a pass
+        code, out, err = run(["oracle", "selftest", "--count", count], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --count must be an integer >= 1, got {count}\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -565,7 +573,8 @@ COMMAND_PATHS = [
     ("oracle", "gaussian-check"),
     ("oracle", "selftest"),
 ]
-# cheap calls: a usage error for a missing flag, `orders`, or an empty selftest
+# cheap calls: a usage error for a missing flag, `orders`, or a selftest
+# refused for its count
 CHEAP_FLAGS = {("oracle", "selftest"): ["--count", "0"]}
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from log_formats import to_v1
 
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
 from rdpmeter.filters import Decision, new_filter, try_spend
@@ -283,14 +284,34 @@ class TestRunSession:
     # sha256 of the logs of 40 random scripts on ORDERS_SCRIPT per mode and
     # session seed. Beyond the log format and the decisions, they pin every
     # draw of numpy's default_rng(seed), so a new generator, seeding or way
-    # of drawing shows here; seed 2**63 + 5 needs all 64 bits
+    # of drawing shows here; seed 2**63 + 5 needs all 64 bits. The second
+    # hash is of the same logs written out as format 1, the hash pinned
+    # before format 2: the format changed no decision, bound or draw
     SCRIPT_LOG_SHA256 = {
-        (FILTER, 0): "6aa9690dbdd21aa137eade961258b38b158a60d9d7135e32ecc38d2ebfee0f5a",
-        (FILTER, 7): "9afff8ffd3831b55cc91b1535da5d8e7ca045babc112cac86616e5651d583757",
-        (FILTER, 2**63 + 5): "353526058bdb2ede4fb0022743324f4134c550263ca91607f7234079ed9c026b",
-        (ODOMETER, 0): "4f63fa323dca83eb9667f7cb6661ae1c378a363c20b01145f59c4319a1e35620",
-        (ODOMETER, 7): "3807ec8801e83c0780a770bc4765f3af729cb9bb64b0434fafc1d14096385c17",
-        (ODOMETER, 2**63 + 5): "a5c5822badc513afa19d649e53d7078981e0bec910c62ab24371e8c2ee621ea9",
+        (FILTER, 0): (
+            "4563dd62c6c95fcef6a59593312b26ebe1a3ff6cd46f414e6b842254b11df114",
+            "6aa9690dbdd21aa137eade961258b38b158a60d9d7135e32ecc38d2ebfee0f5a",
+        ),
+        (FILTER, 7): (
+            "3548db88ecf29db37383247ee7bd2fc05922b58bd093efa80c505d932e694974",
+            "9afff8ffd3831b55cc91b1535da5d8e7ca045babc112cac86616e5651d583757",
+        ),
+        (FILTER, 2**63 + 5): (
+            "6418cdc1e95fac8930ce6c9406562fed5d21b77e0c1ca57d18a0ecc5b9898f14",
+            "353526058bdb2ede4fb0022743324f4134c550263ca91607f7234079ed9c026b",
+        ),
+        (ODOMETER, 0): (
+            "0ef3c2fa1185129a754de0f943a5e4e55b924491477d8b6c14bdbf2a904762eb",
+            "4f63fa323dca83eb9667f7cb6661ae1c378a363c20b01145f59c4319a1e35620",
+        ),
+        (ODOMETER, 7): (
+            "13ded430cfb634f290ad35f75ca290897deae478f206ad04958bb0d6a84d803c",
+            "3807ec8801e83c0780a770bc4765f3af729cb9bb64b0434fafc1d14096385c17",
+        ),
+        (ODOMETER, 2**63 + 5): (
+            "a173ac67e87b1ea8acdab394031ee1b7cc3293ac1e9f90ba5c6f22bf1b92b9b2",
+            "a5c5822badc513afa19d649e53d7078981e0bec910c62ab24371e8c2ee621ea9",
+        ),
     }
     ORDERS_SCRIPT = OrderSet([1.5, 2.0, 4.0, 16.0])
 
@@ -298,7 +319,7 @@ class TestRunSession:
     def test_script_session_log_bytes_are_pinned(self, mode, seed):
         orders = self.ORDERS_SCRIPT
         rng = random.Random(16)
-        digest = hashlib.sha256()
+        digest, v1_digest = hashlib.sha256(), hashlib.sha256()
         decisions = set()
         for _ in range(40):
             script = random_script(rng, orders)
@@ -310,9 +331,12 @@ class TestRunSession:
                 mode=mode, orders=orders, delta=1e-5, seed=seed, source=script, cap=cap
             ))
             digest.update(log.to_jsonl().encode())
+            v1_digest.update(to_v1(log.to_jsonl()).encode())
             decisions.update(r.get("decision") for r in log.events)
         assert decisions == ({"GRANT", "PASS"} if mode == FILTER else {None})
-        assert digest.hexdigest() == self.SCRIPT_LOG_SHA256[mode, seed]
+        pinned, v1_pinned = self.SCRIPT_LOG_SHA256[mode, seed]
+        assert digest.hexdigest() == pinned
+        assert v1_digest.hexdigest() == v1_pinned
 
 
 class TestReconstruct:
@@ -507,12 +531,15 @@ class TestReconstruct:
 
     @staticmethod
     def _records(mode):
+        # two sigmas, so both records carry their request
         config = SessionConfig(
             mode=mode,
             orders=ORDERS24,
             delta=1e-5,
             seed=0,
-            source=gaussian_schedule(2, sigma=100.0),
+            source=ScheduleReplay(
+                steps=tuple(ScheduleStep(GaussianMechanism(s)) for s in (100.0, 200.0))
+            ),
             dp_target=5.0 if mode == FILTER else None,
         )
         return run_session(config).records
@@ -552,6 +579,10 @@ class TestReconstruct:
     def test_record_missing_a_key_is_rejected(self, mode, key):
         records = self._records(mode)
         del records[2][key]
+        if key == "request":
+            # format 2 may leave out a request equal to the last; format 1
+            # may not
+            del records[0]["format"]
         self._rejected(records, f"record 2 has no '{key}'")
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
