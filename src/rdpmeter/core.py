@@ -55,14 +55,16 @@ class RdpCurve:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if len(values) != len(self.orders):
             raise ValueError(
                 f"curve has {len(values)} values for {len(self.orders)} orders"
             )
-        for v in values:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"curve values must be finite and >= 0, got {v}")
+        # C-level passes; the loop only names the first bad value
+        if not (all(map(math.isfinite, values)) and min(values) >= 0.0):
+            for v in values:
+                if not math.isfinite(v) or v < 0.0:
+                    raise ValueError(f"curve values must be finite and >= 0, got {v}")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -93,12 +95,20 @@ class RdpCurve:
         return _read_curve(data, {})
 
 
+def _as_list(value, name: str) -> tuple:
+    """A JSON list (or a tuple) as a tuple; tuple() alone would split a
+    string into characters and an object into its keys."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[int]]]:
     """The OrderSet of a JSON order list, and the listed position of each of
     its sorted orders (None when the list is sorted). order_sets maps each
     list already read to this pair; a caller reading many curves passes one
     dict, so each distinct list is built and checked once."""
-    key = tuple(listed)
+    key = _as_list(listed, "orders")
     try:
         return order_sets[key]
     except (KeyError, TypeError):
@@ -113,11 +123,15 @@ def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[
     return orders, positions
 
 
-def _read_curve(data: Mapping, order_sets: dict) -> RdpCurve:
+def _read_curve(data: Mapping, order_sets: dict, listed=None) -> RdpCurve:
     """A JSON curve {"orders": [...], "eps": [...]}, each eps paired with
-    the order listed at its position; see _read_order_list for order_sets."""
-    orders, positions = _read_order_list(data["orders"], order_sets)
-    eps = tuple(data["eps"])
+    the order listed at its position; see _read_order_list for order_sets.
+    Given a JSON order list `listed`, a curve {"eps": [...]} without
+    "orders" is read as if it listed those orders."""
+    if listed is None or "orders" in data:
+        listed = data["orders"]
+    orders, positions = _read_order_list(listed, order_sets)
+    eps = _as_list(data["eps"], "eps")
     if positions is not None and len(eps) == len(positions):
         eps = tuple(eps[k] for k in positions)
     return RdpCurve(orders, eps)

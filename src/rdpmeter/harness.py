@@ -492,20 +492,22 @@ def _replay(
     def read_curve(data) -> RdpCurve:
         return _read_curve(data, order_sets)
 
+    def read_orders(listed) -> OrderSet:
+        return _read_order_list(listed, order_sets)[0]
+
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
         if "dp_target" in header and cap != new_filter_from_dp_target(
             _read("header", header, "dp_target", float),
             _read("header", header, "delta", float),
-            _read("header", header, "orders", OrderSet),
+            _read("header", header, "orders", read_orders),
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
         state = new_filter(cap, sealed=bool(header.get("sealed", False)))
     elif kind == ODOMETER:
         state = new_odometer(
             _read("header", header, "delta", float),
-            _read("header", header, "orders",
-                  lambda listed: _read_order_list(listed, order_sets)[0]),
+            _read("header", header, "orders", read_orders),
         )
         if not _same(header.get("bound"), _bound_to_json(running_bound(state))):
             raise ValueError("header bound is not a fresh odometer's bound")

@@ -10,9 +10,11 @@ be accounted but not sampled.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 from typing import Mapping, Union
 
-from rdpmeter.core import OrderSet, RdpCurve
+from rdpmeter.core import OrderSet, RdpCurve, _as_list
 
 PROB_SUM_TOL = 1e-12
 
@@ -108,19 +110,25 @@ def discrete_rdp_curve(mech: DiscreteMechanism, orders: OrderSet) -> RdpCurve:
     Each direction is log(sum_i q_i * (p_i/q_i)^alpha) / (alpha - 1): the
     ratio form keeps intermediate terms near the probabilities
     themselves, and fsum removes ordering effects. The ratios are divided
-    once per mechanism. Divergences are clamped at zero; identical
-    distributions can land a few ulps negative through the ratio form.
+    once per mechanism; the terms are built once per outcome and order,
+    then summed, logged and divided per order in C-level passes, the same
+    float operations as a per-order loop, so the values are bit for bit
+    the same. Divergences are clamped at zero; identical distributions
+    can land a few ulps negative through the ratio form.
     """
     # shared support: p0 and p1 are zero at the same outcomes
     support = [(p, q) for p, q in zip(mech.p0, mech.p1) if p != 0.0]
-    forward = [(q, p / q) for p, q in support]
-    backward = [(p, q / p) for p, q in support]
-    values = []
-    for alpha in orders:
-        d01 = math.log(math.fsum([w * r**alpha for w, r in forward]))
-        d10 = math.log(math.fsum([w * r**alpha for w, r in backward]))
-        values.append(max(d01 / (alpha - 1.0), d10 / (alpha - 1.0), 0.0))
-    return RdpCurve(orders, tuple(values))
+    alphas = orders.orders
+    below = [alpha - 1.0 for alpha in alphas]
+
+    def direction(pairs):
+        # one row of terms per outcome; zip(*rows) gives each order's terms
+        rows = [[w * r**alpha for alpha in alphas] for w, r in pairs]
+        return map(truediv, map(math.log, map(math.fsum, zip(*rows))), below)
+
+    d01 = direction([(q, p / q) for p, q in support])
+    d10 = direction([(p, q / p) for p, q in support])
+    return RdpCurve(orders, tuple(map(max, d01, d10, repeat(0.0))))
 
 
 def mechanism_rdp_curve(mech: Mechanism, orders: OrderSet) -> RdpCurve:
@@ -185,9 +193,9 @@ def mechanism_from_json(data: Mapping) -> Mechanism:
         )
     if kind == "discrete":
         return DiscreteMechanism(
-            outcomes=tuple(data["outcomes"]),
-            p0=tuple(data["p0"]),
-            p1=tuple(data["p1"]),
+            outcomes=_as_list(data["outcomes"], "outcomes"),
+            p0=_as_list(data["p0"], "p0"),
+            p1=_as_list(data["p1"], "p1"),
         )
     if kind == "raw":
         return RawCurve(RdpCurve.from_json(data["curve"]))

@@ -21,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, lt, mul, sub
 from typing import Mapping, Optional, Union
 
 from rdpmeter.core import OrderSet, RdpCurve, _read_curve
@@ -94,15 +94,18 @@ def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
         )
     if BOTTOM in node.mech.outcomes:
         raise ValueError(f"outcome label {BOTTOM!r} is reserved for denied steps")
-    if node.request.orders.orders != orders.orders:
+    request = node.request
+    if request.orders is not orders and request.orders.orders != orders.orders:
         raise ValueError("every request in a script must share one order set")
     true_curve = discrete_rdp_curve(node.mech, orders)
-    for alpha, declared, true in zip(orders, node.request.values, true_curve.values):
-        if declared < true:
-            raise ValueError(
-                f"declared budget {declared} under-declares the true value "
-                f"{true} at order {alpha}"
-            )
+    # a C-level pass; the loop only names the first under-declared order
+    if any(map(lt, request.values, true_curve.values)):
+        for alpha, declared, true in zip(orders, request.values, true_curve.values):
+            if declared < true:
+                raise ValueError(
+                    f"declared budget {declared} under-declares the true value "
+                    f"{true} at order {alpha}"
+                )
     allowed = set(node.mech.outcomes) | {BOTTOM}
     for label, child in node.children.items():
         if label not in allowed:
@@ -544,35 +547,47 @@ def _random_probs(rng: random.Random, n: int) -> list[float]:
 
 
 def script_to_json(script: AdversaryScript) -> Union[dict, str]:
+    """The script as JSON: the root's request lists its orders, and every
+    request below it, on the same orders, is written as {"eps": [...]}."""
     if script.root is None:
         return _STOP
-    return _node_to_json(script.root)
+    return _node_to_json(script.root, script.root.request.to_json())
 
 
-def _node_to_json(node: ScriptNode) -> dict:
+def _node_to_json(node: ScriptNode, request: dict) -> dict:
     return {
         "mech": mechanism_to_json(node.mech),
-        "request": node.request.to_json(),
+        "request": request,
         "children": {
-            label: _STOP if child is None else _node_to_json(child)
+            label: _STOP
+            if child is None
+            else _node_to_json(child, {"eps": list(child.request.values)})
             for label, child in node.children.items()
         },
     }
 
 
 def script_from_json(data: Union[dict, str]) -> AdversaryScript:
+    """A script from JSON. A request without "orders" reads as if it listed
+    the root request's orders as written; one that lists its own, as every
+    request of a file written before the eps-only form does, is read on
+    those."""
     if data == _STOP:
         return AdversaryScript(root=None)
-    return AdversaryScript(root=_node_from_json(data, {}))
+    if "orders" not in data["request"]:
+        raise ValueError("the root request of a script must list its orders")
+    listed = data["request"]["orders"]
+    return AdversaryScript(root=_node_from_json(data, {}, listed))
 
 
-def _node_from_json(data: dict, order_sets: dict) -> ScriptNode:
+def _node_from_json(data: dict, order_sets: dict, listed: list) -> ScriptNode:
     """One node and its subtree; order_sets is the script's one dict for
-    `_read_curve`, so requests listing the same orders share one OrderSet."""
+    `_read_curve`, so requests listing the same orders share one OrderSet,
+    and listed is the root request's order list."""
     mech = mechanism_from_json(data["mech"])
-    request = _read_curve(data["request"], order_sets)
+    request = _read_curve(data["request"], order_sets, listed)
     children = {
-        label: None if child == _STOP else _node_from_json(child, order_sets)
+        label: None if child == _STOP else _node_from_json(child, order_sets, listed)
         for label, child in data.get("children", {}).items()
     }
     return ScriptNode(mech=mech, request=request, children=children)

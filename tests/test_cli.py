@@ -102,6 +102,23 @@ class TestConvert:
             "eps": math.log(1.0 / 1e-5), "alpha": 2.0, "delta": 1e-5
         }
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"orders": "24", "eps": "12"}',
+            '{"orders": [2, 4], "eps": "12"}',
+            '{"orders": {"2": 1}, "eps": [1]}',
+        ],
+        ids=["both-strings", "eps-string", "orders-object"],
+    )
+    def test_curve_lists_that_are_not_lists_are_errors(self, tmp_path, capsys, text):
+        path = tmp_path / "curve.json"
+        path.write_text(text)
+        code, out, err = run(["convert", "--curve", str(path), "--delta", "1e-5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "must be a list, got" in err
+
     def test_missing_file_is_a_validation_error(self, files, capsys):
         code, _, err = run(
             ["convert", "--curve", files["tmp"] + "/nope.json", "--delta", "1e-5"],
@@ -456,6 +473,21 @@ class TestOracleCommands:
         report = json.loads(out)
         assert report["ok"] is True
         assert report["requirement"] == "any"
+
+    def test_script_whose_root_request_lists_no_orders_is_an_error(self, files, capsys):
+        path = files["tmp"] + "/no-orders.json"
+        with open(files["script.json"]) as handle:
+            data = json.load(handle)
+        del data["request"]["orders"]
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        code, out, err = run(
+            ["oracle", "verify-filter", "--script", path, "--cap", files["cap.json"]],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: the root request of a script must list its orders\n"
 
     def test_verify_truncated_passes(self, files, capsys):
         code, out, _ = run(

@@ -2,7 +2,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rdpmeter.core import (
     DpGuarantee,
@@ -127,6 +127,80 @@ def test_json_curve_with_a_wrong_eps_count_is_rejected():
     for listed in ([2.0, 4.0], [4.0, 2.0]):
         with pytest.raises(ValueError, match="3 values for 2 orders"):
             RdpCurve.from_json({"orders": listed, "eps": [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize(
+    "data, name, kind",
+    [
+        ({"orders": "24", "eps": [1.0, 2.0]}, "orders", "str"),
+        ({"orders": [2.0, 4.0], "eps": "12"}, "eps", "str"),
+        ({"orders": "24", "eps": "12"}, "orders", "str"),
+        ({"orders": {"2": 1}, "eps": [1.0]}, "orders", "dict"),
+        ({"orders": [2.0], "eps": {"1": 0}}, "eps", "dict"),
+        ({"orders": 2.0, "eps": [1.0]}, "orders", "float"),
+    ],
+    ids=["orders-str", "eps-str", "both-str", "orders-object", "eps-object", "orders-number"],
+)
+def test_json_curve_lists_must_be_lists(data, name, kind):
+    # tuple() would split a string into characters and an object into keys
+    with pytest.raises(ValueError, match=f"^{name} must be a list, got {kind}$"):
+        RdpCurve.from_json(data)
+
+
+def test_eps_only_curve_reads_on_the_given_order_list():
+    order_sets: dict = {}
+    full = _read_curve({"orders": [4.0, 2.0], "eps": [2.0, 1.0]}, order_sets)
+    eps_only = _read_curve({"eps": [2.0, 1.0]}, order_sets, [4.0, 2.0])
+    assert eps_only == full and eps_only.orders is full.orders
+    # a curve that lists its own orders is read on those
+    own = _read_curve({"orders": [2.0, 4.0], "eps": [1.0, 2.0]}, order_sets, [4.0, 2.0])
+    assert own == full
+    with pytest.raises(KeyError):
+        _read_curve({"eps": [1.0, 2.0]}, order_sets)
+    with pytest.raises(ValueError, match="^eps must be a list, got str$"):
+        _read_curve({"eps": "12"}, order_sets, [4.0, 2.0])
+
+
+def _per_value_curve(orders, values):
+    """RdpCurve's checks as a per-value loop, the reference for its
+    C-level passes."""
+    values = tuple(float(v) for v in values)
+    if len(values) != len(orders):
+        raise ValueError(f"curve has {len(values)} values for {len(orders)} orders")
+    for v in values:
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"curve values must be finite and >= 0, got {v}")
+    return values
+
+
+def _outcome(build, orders, values):
+    try:
+        return [v.hex() for v in build(orders, values)]
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0]),
+            st.integers(min_value=-3, max_value=3),
+            st.just(10**400),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([1.0, -1.0, math.nan])  # several bad values: the first is named
+@example([math.inf, -1.0, 0.0])
+@example([0.0, -0.0, -2])
+@example([-0.0, 0, 1])
+def test_curve_checks_match_a_per_value_loop(values):
+    orders = OrderSet([2.0, 4.0, 8.0])
+    want = _outcome(_per_value_curve, orders, values)
+    got = _outcome(lambda o, v: RdpCurve(o, tuple(v)).values, orders, values)
+    assert got == want
 
 
 def test_curves_read_through_one_dict_share_each_order_set():

@@ -566,6 +566,15 @@ class TestReconstruct:
         del records[0][key]
         self._rejected(records, f"header has no '{key}'")
 
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_header_orders_that_are_not_a_list_are_rejected(self, mode):
+        # the filter header's orders are read to check its dp_target cap
+        records = self._records(mode)
+        records[0]["orders"] = "24"
+        self._rejected(
+            records, "^header has a malformed 'orders': ValueError\\('orders must be a list"
+        )
+
     @pytest.mark.parametrize(
         "mode, key",
         [
@@ -608,6 +617,16 @@ class TestReconstruct:
         tamper(records[2]["request"])
         self._rejected(
             records, f"^record 2 has a malformed 'request': ValueError\\(.*{detail}"
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize("key, value", [("orders", "24"), ("eps", "12"), ("orders", {"2": 1})])
+    def test_request_list_that_is_not_a_list_names_its_record(self, mode, key, value):
+        # tuple() would read "24" as the orders (2.0, 4.0)
+        records = self._records(mode)
+        records[2]["request"][key] = value
+        self._rejected(
+            records, f"^record 2 has a malformed 'request': ValueError\\('{key} must be a list"
         )
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])

@@ -328,6 +328,18 @@ def test_mechanism_json_rejects_unknown_kind():
         mechanism_from_json({"kind": "laplace"})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("outcomes", "ab"), ("p0", "1"), ("p1", {"1": 0}), ("outcomes", {"a": 1})],
+)
+def test_discrete_json_lists_must_be_lists(key, value):
+    # tuple("ab") would read as the outcomes ("a", "b")
+    data = {"kind": "discrete", "outcomes": ["a"], "p0": [1.0], "p1": [1.0]}
+    data[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be a list, got "):
+        mechanism_from_json(data)
+
+
 def test_raw_curve_dispatch_requires_matching_orders():
     raw = RawCurve(RdpCurve.from_mapping({2.0: 0.5}))
     assert mechanism_rdp_curve(raw, OrderSet([2.0])).value(2.0) == 0.5

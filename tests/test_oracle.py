@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -37,6 +39,7 @@ from rdpmeter.oracle import (
 )
 
 ORDERS = OrderSet([2.0, 4.0, 8.0])
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def rr(p):
@@ -478,11 +481,125 @@ def test_reload_pairs_each_eps_with_its_listed_order():
     child = honest_node(rr(0.75))
     script = AdversaryScript(root=honest_node(rr(0.6), {"a": child}))
     data = json.loads(json.dumps(script_to_json(script)))
-    request = data["children"]["a"]["request"]
+    # the full form, as files written before the eps-only form list it
+    request = data["children"]["a"]["request"] = child.request.to_json()
     request["orders"].reverse()
     request["eps"].reverse()
     back = script_from_json(data)
     assert back.root.children["a"].request == child.request
+
+
+def test_child_requests_are_written_eps_only():
+    rng = random.Random(3)
+    script = random_script(rng, ORDERS, max_depth=3, max_outcomes=3)
+    data = script_to_json(script)
+    assert data["request"] == script.root.request.to_json()
+    children = [c for c in data["children"].values() if c != "STOP"]
+    assert children
+    while children:
+        child = children.pop()
+        assert list(child["request"]) == ["eps"]
+        children += [c for c in child["children"].values() if c != "STOP"]
+
+
+def _full_form_script():
+    """The script tests/data/full_form_script.json was written from, by
+    rdpmeter before child requests were written eps-only; in the file, the
+    request of child "a" lists its orders largest first."""
+    three = DiscreteMechanism(("x", "y", "z"), (0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
+    slack = RdpCurve(
+        ORDERS, tuple(1.25 * v for v in discrete_rdp_curve(three, ORDERS).values)
+    )
+    return AdversaryScript(
+        root=honest_node(
+            rr(0.6),
+            {"a": honest_node(rr(0.75)), "b": None, BOTTOM: ScriptNode(three, slack)},
+        )
+    )
+
+
+def test_full_form_script_file_still_loads():
+    data = json.loads((DATA / "full_form_script.json").read_text(encoding="utf-8"))
+    assert data["children"]["a"]["request"]["orders"] == [8.0, 4.0, 2.0]
+    script = _full_form_script()
+    back = script_from_json(data)
+    assert back == script
+    assert back == script_from_json(json.loads(json.dumps(script_to_json(script))))
+    assert [n.request.values for n in _nodes(back.root)] == [
+        n.request.values for n in _nodes(script.root)
+    ]
+
+
+def test_eps_only_requests_pair_with_the_roots_listed_orders():
+    script = _full_form_script()
+    data = json.loads(json.dumps(script_to_json(script)))
+    data["request"]["orders"].reverse()
+    data["request"]["eps"].reverse()
+    for label in ("a", BOTTOM):
+        data["children"][label]["request"]["eps"].reverse()
+    back = script_from_json(data)
+    assert back == script
+    assert len({id(n.request.orders) for n in _nodes(back.root)}) == 1
+
+
+def test_root_request_without_orders_is_refused():
+    data = json.loads(json.dumps(script_to_json(_full_form_script())))
+    del data["request"]["orders"]
+    with pytest.raises(ValueError, match="^the root request of a script must list its orders$"):
+        script_from_json(data)
+
+
+def test_eps_only_child_of_the_wrong_length_is_refused():
+    data = json.loads(json.dumps(script_to_json(_full_form_script())))
+    data["children"]["a"]["request"]["eps"].pop()
+    with pytest.raises(ValueError, match="^curve has 2 values for 3 orders$"):
+        script_from_json(data)
+
+
+@pytest.mark.parametrize("where", ["root", "child"])
+@pytest.mark.parametrize("key, value", [("orders", "248"), ("eps", "123"), ("eps", {"1": 0})])
+def test_script_request_lists_must_be_lists(where, key, value):
+    data = json.loads(json.dumps(script_to_json(_full_form_script())))
+    node = data if where == "root" else data["children"]["a"]
+    node["request"][key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be a list, got "):
+        script_from_json(data)
+
+
+def test_under_declared_node_names_its_first_failing_order():
+    true = discrete_rdp_curve(rr(0.75), ORDERS).values
+    under = RdpCurve(ORDERS, (true[0], 0.5 * true[1], 0.0))
+    with pytest.raises(ValueError, match=f"the true value {true[1]!r} at order 4.0$"):
+        AdversaryScript(root=ScriptNode(rr(0.75), under))
+
+
+def _report_digest() -> str:
+    """sha256 of the verify-filter report and the verify-truncated reports
+    at f = 1, 2, 3 on 40 seeded random scripts, on the default orders and
+    on {2, 4}; each report is its JSON text and a newline."""
+    digest = hashlib.sha256()
+    for orders in (default_order_set(), OrderSet([2.0, 4.0])):
+        rng = random.Random(20)
+        schedule = FilterSchedule(delta=0.05, orders=orders)
+        for _ in range(40):
+            script = random_script(rng, orders)
+            cap = RdpCurve(
+                orders,
+                tuple(rng.uniform(0.5, 3.0) * v for v in script.root.request.values),
+            )
+            reports = [verify_filter_bound(script, cap)]
+            reports += [verify_truncated_odometer(script, schedule, f) for f in (1, 2, 3)]
+            for report in reports:
+                digest.update(json.dumps(report.to_json()).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_oracle_reports_are_pinned():
+    # the reports of the per-order curve and validation loops, before they
+    # became C-level passes
+    assert _report_digest() == (
+        "ac6ded6d8526952d78a7b302aa24df1b643b6b3c6718bf1eaaf93eddc5abd846"
+    )
 
 
 def test_empty_script_json():
