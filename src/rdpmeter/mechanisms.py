@@ -115,6 +115,10 @@ def discrete_rdp_curve(mech: DiscreteMechanism, orders: OrderSet) -> RdpCurve:
     float operations as a per-order loop, so the values are bit for bit
     the same. Divergences are clamped at zero; identical distributions
     can land a few ulps negative through the ratio form.
+
+    Where a term r**alpha or an order's sum passes the float range, the
+    passes abort; each order is then redone on its own, and only the
+    orders that overflow are computed in log space (_order_divergence).
     """
     # shared support: p0 and p1 are zero at the same outcomes
     support = [(p, q) for p, q in zip(mech.p0, mech.p1) if p != 0.0]
@@ -126,9 +130,29 @@ def discrete_rdp_curve(mech: DiscreteMechanism, orders: OrderSet) -> RdpCurve:
         rows = [[w * r**alpha for alpha in alphas] for w, r in pairs]
         return map(truediv, map(math.log, map(math.fsum, zip(*rows))), below)
 
-    d01 = direction([(q, p / q) for p, q in support])
-    d10 = direction([(p, q / p) for p, q in support])
-    return RdpCurve(orders, tuple(map(max, d01, d10, repeat(0.0))))
+    p01 = [(q, p / q) for p, q in support]
+    p10 = [(p, q / p) for p, q in support]
+    try:
+        values = tuple(map(max, direction(p01), direction(p10), repeat(0.0)))
+    except OverflowError:
+        values = tuple(
+            max(_order_divergence(p01, alpha), _order_divergence(p10, alpha), 0.0)
+            for alpha in alphas
+        )
+    return RdpCurve(orders, values)
+
+
+def _order_divergence(pairs, alpha: float) -> float:
+    """One direction at one order: log(sum w * r**alpha) / (alpha - 1) with
+    the passes' float operations, or, where a term or the sum overflows,
+    the max-shifted log-sum-exp of the terms' logs log(w) + alpha*log(r)."""
+    try:
+        return math.log(math.fsum([w * r**alpha for w, r in pairs])) / (alpha - 1.0)
+    except OverflowError:
+        logs = [math.log(w) + alpha * math.log(r) for w, r in pairs]
+        top = max(logs)
+        total = math.fsum([math.exp(t - top) for t in logs])
+        return (top + math.log(total)) / (alpha - 1.0)
 
 
 def mechanism_rdp_curve(mech: Mechanism, orders: OrderSet) -> RdpCurve:

@@ -19,7 +19,7 @@ collapsed into a single terminal null without changing any divergence.
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 from operator import add, lt, mul, sub
 from typing import Mapping, Optional, Union
@@ -68,21 +68,25 @@ class AdversaryScript:
 
     Declared request curves must dominate the mechanisms' true curves at
     every order: an adversary may over-declare (slack) but never
-    under-declare.
+    under-declare. true_curves, if given, maps id(node) to that node's
+    true curve on the script's orders, already computed by the caller.
     """
 
     root: Optional[ScriptNode]
+    true_curves: InitVar[Optional[Mapping[int, RdpCurve]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, true_curves):
         if self.root is not None:
-            _validate_node(self.root, 1, self.root.request.orders)
+            _validate_node(self.root, 1, self.root.request.orders, true_curves or {})
 
     @property
     def orders(self) -> Optional[OrderSet]:
         return None if self.root is None else self.root.request.orders
 
 
-def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
+def _validate_node(
+    node: ScriptNode, depth: int, orders: OrderSet, true_curves: Mapping
+) -> None:
     if depth > MAX_DEPTH:
         raise ValueError(f"script deeper than the supported maximum {MAX_DEPTH}")
     if not isinstance(node.mech, DiscreteMechanism):
@@ -97,7 +101,9 @@ def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
     request = node.request
     if request.orders is not orders and request.orders.orders != orders.orders:
         raise ValueError("every request in a script must share one order set")
-    true_curve = discrete_rdp_curve(node.mech, orders)
+    true_curve = true_curves.get(id(node))
+    if true_curve is None:
+        true_curve = discrete_rdp_curve(node.mech, orders)
     # a C-level pass; the loop only names the first under-declared order
     if any(map(lt, request.values, true_curve.values)):
         for alpha, declared, true in zip(orders, request.values, true_curve.values):
@@ -111,7 +117,7 @@ def _validate_node(node: ScriptNode, depth: int, orders: OrderSet) -> None:
         if label not in allowed:
             raise ValueError(f"child outcome {label!r} is not produced here")
         if child is not None:
-            _validate_node(child, depth + 1, orders)
+            _validate_node(child, depth + 1, orders, true_curves)
 
 
 @dataclass(frozen=True)
@@ -507,8 +513,10 @@ def random_script(
     Children differ per observed outcome, so the strategies are genuinely
     adaptive; a fraction of nodes over-declare their budgets (slack), and
     a fraction plan a follow-up move for the null outcome so denial paths
-    stay adaptive too.
+    stay adaptive too. Each node's true curve is computed once, and the
+    script's validation reads it from true_curves.
     """
+    true_curves: dict[int, RdpCurve] = {}
 
     def gen(depth: int) -> ScriptNode:
         n = rng.randint(2, max_outcomes)
@@ -532,9 +540,15 @@ def random_script(
                     children[label] = gen(depth + 1)
             if rng.random() < _BOTTOM_CHILD_PROB:
                 children[BOTTOM] = gen(depth + 1)
-        return ScriptNode(mech=mech, request=request, children=children)
+        node = ScriptNode(mech=mech, request=request, children=children)
+        true_curves[id(node)] = true_curve
+        return node
 
-    return AdversaryScript(root=gen(1))
+    root = gen(1)
+    # gen reaches itself through its closure; clearing the name ends that
+    # cycle, so true_curves is freed on return, not at a later collection
+    del gen
+    return AdversaryScript(root=root, true_curves=true_curves)
 
 
 def _random_probs(rng: random.Random, n: int) -> list[float]:

@@ -94,7 +94,12 @@ def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
         assert try_spend(f, RdpCurve(orders, (2.0, 2.0))) is Decision.PASS
 
     def snapshot():
-        return [v.hex() for v in f.spent.values], f._passed_once
+        return (
+            [v.hex() for v in f.spent.values],
+            f._passed_once,
+            id(f._denied),
+            id(f._denied_cap),
+        )
 
     before = snapshot()
     with pytest.raises(ValueError, match="different order set"):
@@ -103,6 +108,59 @@ def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
     # the accountant still works after the refused call
     assert try_spend(f, RdpCurve(orders, (0.5, 0.0))) is Decision.GRANT
     assert f.spent.values == (1.0, 0.25)
+
+
+class CountingCurve(RdpCurve):
+    """A curve that counts reads of its values."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "values":
+            type(self).reads += 1
+        return super().__getattribute__(name)
+
+
+def test_a_repeated_denial_does_no_per_order_work():
+    f = new_filter(curve(a2=1.0, a4=1.0))
+    request = CountingCurve(f.orders, (2.0, 2.0))
+    assert try_spend(f, request) is Decision.PASS
+    reads = CountingCurve.reads
+    assert reads > 0
+    for _ in range(3):
+        assert try_spend(f, request) is Decision.PASS
+    assert CountingCurve.reads == reads
+    # an equal but distinct object is tested in full
+    assert try_spend(f, CountingCurve(f.orders, (2.0, 2.0))) is Decision.PASS
+    assert CountingCurve.reads > reads
+
+
+def test_a_grant_forgets_the_last_denial():
+    f = new_filter(curve(a2=1.0))
+    small, large = curve(a2=0.25), curve(a2=0.9)
+    assert try_spend(f, small) is Decision.GRANT
+    assert try_spend(f, large) is Decision.PASS
+    assert f._denied is large
+    assert try_spend(f, small) is Decision.GRANT
+    assert f._denied is None
+    assert try_spend(f, large) is Decision.PASS
+    assert f.spent.value(2.0) == 0.5
+
+
+def test_a_new_cap_object_does_not_reuse_the_last_denial():
+    f = new_filter(curve(a2=1.0, a4=1.0))
+    request = curve(a2=0.75, a4=1.5)
+    assert try_spend(f, curve(a2=0.5, a4=0.0)) is Decision.GRANT
+    assert try_spend(f, request) is Decision.PASS
+    f.cap = RdpCurve(f.orders, (1.25, 1.0))
+    assert try_spend(f, request) is Decision.GRANT
+    assert f.spent.values == (1.25, 1.5)
+    # an equal cap in a new object: tested in full, denied again
+    f.cap = RdpCurve(f.orders, (1.25, 1.0))
+    assert try_spend(f, request) is Decision.PASS
+    f.cap = RdpCurve(f.orders, (1.25, 1.0))
+    assert try_spend(f, request) is Decision.PASS
+    assert f.spent.values == (1.25, 1.5)
 
 
 def test_sealed_filter_denies_everything_after_first_pass():
@@ -219,15 +277,25 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
     )
     sealed = data.draw(st.booleans())
     f, ref = new_filter(cap, sealed=sealed), new_filter(cap, sealed=sealed)
+    sent = []
     for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
-        values = [data.draw(_AMOUNTS) for _ in range(n_orders)]
-        if data.draw(st.booleans()):
-            # aim at the cap at one order: the gap left, or an ulp either side
-            k = data.draw(st.integers(min_value=0, max_value=n_orders - 1))
-            gap = cap.values[k] - ref._spent[k]
-            step = data.draw(st.sampled_from([0.0, math.inf, -math.inf]))
-            values[k] = max(0.0, gap if step == 0.0 else math.nextafter(gap, step))
-        request = RdpCurve(orders, tuple(values))
+        if sent and data.draw(st.booleans()):
+            # the same object again: the last one, which repeats a PASS
+            # (the shortcut) or a GRANT, or an earlier one, with other
+            # requests in between
+            last = data.draw(st.booleans())
+            request = sent[-1] if last else data.draw(st.sampled_from(sent))
+        else:
+            values = [data.draw(_AMOUNTS) for _ in range(n_orders)]
+            if data.draw(st.booleans()):
+                # aim at the cap at one order: the gap left, or an ulp
+                # either side
+                k = data.draw(st.integers(min_value=0, max_value=n_orders - 1))
+                gap = cap.values[k] - ref._spent[k]
+                step = data.draw(st.sampled_from([0.0, math.inf, -math.inf]))
+                values[k] = max(0.0, gap if step == 0.0 else math.nextafter(gap, step))
+            request = RdpCurve(orders, tuple(values))
+            sent.append(request)
         assert try_spend(f, request) is _reference_try_spend(ref, request)
         assert [v.hex() for v in f.spent.values] == [v.hex() for v in ref.spent.values]
         assert f._passed_once == ref._passed_once

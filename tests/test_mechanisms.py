@@ -1,5 +1,7 @@
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -207,19 +209,48 @@ def _renyi_reference(p, q, alpha):
 
 
 def _reference_curve(m, orders):
+    """The reference's value at each order, as hex; None where it raises
+    OverflowError, as the whole curve used to."""
     values = []
     for alpha in orders:
-        d01 = _renyi_reference(m.p0, m.p1, alpha)
-        d10 = _renyi_reference(m.p1, m.p0, alpha)
-        values.append(max(d01, d10, 0.0))
-    return RdpCurve(orders, tuple(values))
+        try:
+            d01 = _renyi_reference(m.p0, m.p1, alpha)
+            d10 = _renyi_reference(m.p1, m.p0, alpha)
+        except OverflowError:
+            values.append(None)
+        else:
+            values.append(max(d01, d10, 0.0).hex())
+    return values
 
 
-def _curve_or_error(curve_fn, m, orders):
-    try:
-        return [v.hex() for v in curve_fn(m, orders).values]
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
+_EXACT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _exact_divergence(m, alpha):
+    """The symmetrized divergence at alpha in 40-digit decimal arithmetic,
+    rounded once to a float."""
+
+    def direction(p, q):
+        total = sum(
+            Decimal(qi) * (Decimal(pi) / Decimal(qi)) ** Decimal(alpha)
+            for pi, qi in zip(p, q)
+            if pi != 0.0
+        )
+        return total.ln() / (Decimal(alpha) - 1)
+
+    with decimal.localcontext(_EXACT):
+        return max(float(direction(m.p0, m.p1)), float(direction(m.p1, m.p0)), 0.0)
+
+
+def _assert_matches_reference(m, orders):
+    """Bit for bit the reference wherever it is finite; within 1e-12 of the
+    exact divergence where it overflows."""
+    values = discrete_rdp_curve(m, orders).values
+    for alpha, ref, value in zip(orders, _reference_curve(m, orders), values):
+        if ref is None:
+            assert value == pytest.approx(_exact_divergence(m, alpha), rel=1e-12)
+        else:
+            assert value.hex() == ref
 
 
 @st.composite
@@ -245,9 +276,25 @@ def mechanisms_with_shared_zeros(draw):
     st.sampled_from([default_order_set(), granularity_order_set(1000)]),
 )
 def test_discrete_curve_matches_per_order_reference(m, orders):
-    assert _curve_or_error(discrete_rdp_curve, m, orders) == _curve_or_error(
-        _reference_curve, m, orders
-    )
+    _assert_matches_reference(m, orders)
+
+
+@pytest.mark.parametrize(
+    "m, orders",
+    [
+        # a ratio of 1e10: the terms overflow from order 32 of the default set
+        (
+            DiscreteMechanism(("a", "b"), (0.999, 0.001), (1.0 - 1e-13, 1e-13)),
+            default_order_set(),
+        ),
+        # a ratio of 1.5: the terms overflow from order 2^11 up to 2^40
+        (make_rr(0.6), granularity_order_set(10**6)),
+    ],
+    ids=["ratio-1e10-default-orders", "ratio-1.5-orders-to-2^40"],
+)
+def test_orders_past_the_float_range_are_computed_in_log_space(m, orders):
+    assert None in _reference_curve(m, orders)
+    _assert_matches_reference(m, orders)
 
 
 # ---------------------------------------------------------------- sampling

@@ -14,6 +14,7 @@ from rdpmeter.mechanisms import (
     discrete_rdp_curve,
     gaussian_rdp_curve,
 )
+from rdpmeter import oracle
 from rdpmeter.odometers import FilterSchedule
 from rdpmeter.oracle import (
     BOTTOM,
@@ -605,3 +606,41 @@ def test_oracle_reports_are_pinned():
 def test_empty_script_json():
     assert script_to_json(AdversaryScript(root=None)) == "STOP"
     assert script_from_json("STOP").root is None
+
+
+def _nodes(node):
+    yield node
+    for child in node.children.values():
+        if child is not None:
+            yield from _nodes(child)
+
+
+@pytest.mark.parametrize(
+    "orders", [default_order_set(), OrderSet([2.0, 4.0])], ids=["default", "2-4"]
+)
+def test_random_script_computes_each_true_curve_once(monkeypatch, orders):
+    mechs = []
+
+    def counting(mech, on):
+        mechs.append(mech)
+        return discrete_rdp_curve(mech, on)
+
+    monkeypatch.setattr(oracle, "discrete_rdp_curve", counting)
+    rng = random.Random(3)
+    for _ in range(20):
+        mechs.clear()
+        script = random_script(rng, orders)
+        assert sorted(map(id, mechs)) == sorted(id(n.mech) for n in _nodes(script.root))
+
+
+def test_a_seeded_corpus_validates_again_from_its_root():
+    # the curves random_script hands to validation are the ones validation
+    # would compute: each script, validated from scratch, loads as it was
+    for orders in (default_order_set(), OrderSet([2.0, 4.0])):
+        rng = random.Random(1)
+        for _ in range(30):
+            script = random_script(rng, orders)
+            for node in _nodes(script.root):
+                true = discrete_rdp_curve(node.mech, orders).values
+                assert all(d >= t for d, t in zip(node.request.values, true))
+            assert AdversaryScript(root=script.root) == script
