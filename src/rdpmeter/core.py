@@ -9,6 +9,7 @@ conservative and deterministic.
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Mapping, Optional
 
 
@@ -101,6 +102,14 @@ def _as_list(value, name: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {type(value).__name__}")
     return tuple(value)
+
+
+def _as_number(value, name: str) -> float:
+    """A real number that is not a bool, as a float: what a JSON number
+    reads as. float() alone would also take "2" and true."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[int]]]:

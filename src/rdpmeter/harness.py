@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from rdpmeter.core import (
     OrderSet,
     RdpCurve,
+    _as_number,
     _check_delta,
     _read_curve,
     _read_order_list,
@@ -497,16 +498,20 @@ def _replay(
 
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
+        delta = _as_number(_read("header", header, "delta"), "header delta")
         if "dp_target" in header and cap != new_filter_from_dp_target(
-            _read("header", header, "dp_target", float),
-            _read("header", header, "delta", float),
+            _as_number(_read("header", header, "dp_target"), "header dp_target"),
+            delta,
             _read("header", header, "orders", read_orders),
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
-        state = new_filter(cap, sealed=bool(header.get("sealed", False)))
+        sealed = header.get("sealed", False)
+        if type(sealed) is not bool:
+            raise ValueError(f"header sealed must be true or false, got {sealed!r}")
+        state = new_filter(cap, sealed=sealed)
     elif kind == ODOMETER:
         state = new_odometer(
-            _read("header", header, "delta", float),
+            _as_number(_read("header", header, "delta"), "header delta"),
             _read("header", header, "orders", read_orders),
         )
         if not _same(header.get("bound"), _bound_to_json(running_bound(state))):
@@ -549,11 +554,12 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
     """Rebuild the final accountant state by re-executing the log.
 
     The header must agree with a fresh accountant (a filter's cap with its
-    dp_target, an odometer's bound with its orders and delta), each record
-    must carry its position as "i", and recorded decisions, filter
-    indices, and bounds are cross-checked against the re-execution; any
-    disagreement, and any line that is not an object with the keys its
-    kind needs, raises ValueError. A format 2 record without a request
+    dp_target, an odometer's bound with its orders and delta) and be typed
+    as the writer writes it (delta and dp_target JSON numbers, sealed, if
+    there, true or false), each record must carry its position as "i",
+    and recorded decisions, filter indices, and bounds are cross-checked
+    against the re-execution; any disagreement, and any line that is not
+    an object with the keys its kind needs, raises ValueError. A format 2 record without a request
     repeats the previous record's; a header "format" other than 2 is
     rejected. A log cut after a whole record still replays.
     """

@@ -14,9 +14,12 @@ from itertools import repeat
 from operator import truediv
 from typing import Mapping, Union
 
-from rdpmeter.core import OrderSet, RdpCurve, _as_list
+from rdpmeter.core import OrderSet, RdpCurve, _as_list, _as_number
 
 PROB_SUM_TOL = 1e-12
+# the types json.load gives a number; any other real type but bool is
+# checked by _as_number
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,9 @@ class GaussianMechanism:
 class DiscreteMechanism:
     """A finite-output mechanism given by its two neighboring-world distributions.
 
-    Outcome labels are shared between the worlds. Each distribution must
-    sum to 1 within PROB_SUM_TOL; drift inside the tolerance is
+    Outcome labels are shared between the worlds. Each distribution's
+    entries must be real numbers (a bool or a string is refused) summing
+    to 1 within PROB_SUM_TOL; drift inside the tolerance is
     renormalized, anything larger is rejected. The two distributions must
     share support, otherwise no finite budget curve exists.
     """
@@ -68,10 +72,14 @@ class DiscreteMechanism:
 
     @staticmethod
     def _normalize(probs, name):
-        values = [float(p) for p in probs]
-        for p in values:
-            if not math.isfinite(p) or p < 0.0:
-                raise ValueError(f"{name} entries must be finite and >= 0, got {p}")
+        values = []
+        for p in probs:
+            if type(p) not in _NUMBER_TYPES:
+                _as_number(p, f"each {name} entry")
+            v = float(p)
+            if not math.isfinite(v) or v < 0.0:
+                raise ValueError(f"{name} entries must be finite and >= 0, got {v}")
+            values.append(v)
         total = math.fsum(values)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"{name} sums to {total}, not 1")
@@ -212,8 +220,8 @@ def mechanism_from_json(data: Mapping) -> Mechanism:
     kind = data.get("kind")
     if kind == "gaussian":
         return GaussianMechanism(
-            sigma=float(data["sigma"]),
-            sensitivity=float(data.get("sensitivity", 1.0)),
+            sigma=_as_number(data["sigma"], "sigma"),
+            sensitivity=_as_number(data.get("sensitivity", 1.0), "sensitivity"),
         )
     if kind == "discrete":
         return DiscreteMechanism(

@@ -20,16 +20,27 @@ The bound depends on the rungs alone, which on a training schedule move
 on a few queries in a thousand. So the state keeps its levels and bound,
 `spend` recomputes them only when some order climbs, and `running_bound`
 returns the kept object, the same one until a rung moves.
+
+A training run also sends one request curve many times in a row. When a
+spend repeats the request object of the spend before it, `spend` counts,
+once, how many further spends of that object provably climb no rung
+(`_safe_repeats`); those spends skip the per-order climb test but still
+add at every order, so totals, rungs and bounds are bit for bit the
+ones the full test gives.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve, _check_delta
 
 MAX_FILTER_INDEX = 64
+# spend's certified no-climb window: at most _MAX_SAFE spends long, with
+# every level scaled by _SLACK (see spend for why these two suffice)
+_MAX_SAFE = 2**20
+_SLACK = 1.0 - 2.0**-29
 
 
 def _log_arg(m: int, f: int, delta: float) -> float:
@@ -74,8 +85,8 @@ class FilterSchedule:
 
     def level(self, f: int, alpha: float) -> float:
         """f-th level: exactly 2^(f-1) times ln(2*|orders|/delta)/(alpha-1)."""
-        if not isinstance(f, int) or f < 1:
-            raise ValueError(f"filter index must be a positive integer, got {f}")
+        if isinstance(f, bool) or not isinstance(f, int) or f < 1:
+            raise ValueError(f"filter index must be a positive integer, got {f!r}")
         if f > MAX_FILTER_INDEX:
             raise ValueError(
                 f"filter index {f} exceeds the supported maximum "
@@ -101,6 +112,8 @@ class OdometerState:
     unconditionally and the running bound grows to cover it. Holds only
     spent, the rung per order, each order's current level, the running
     bound and the step count; the session log is the per-query record.
+    _last and _safe are the request object of the last spend and how many
+    more spends of it are certified to climb no rung (see spend).
     `spend` is the only writer.
     """
 
@@ -111,6 +124,8 @@ class OdometerState:
         self._levels = list(schedule._base)  # level(1, alpha) is the base
         self._bound = _bound(schedule, self._f)
         self.step = 0
+        self._last: Optional[RdpCurve] = None
+        self._safe = 0
 
     @property
     def orders(self) -> OrderSet:
@@ -127,32 +142,80 @@ def new_odometer(delta: float, orders: OrderSet) -> OdometerState:
 
 def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
     """Add the request at every order; the odometer never refuses.
-    A call that raises leaves the state as it was."""
-    if request.orders.orders != state.schedule.orders.orders:
+    A call that raises leaves the state as it was.
+
+    An order climbs when its new total passes its level. A full spend of
+    the same request object as the spend before it also opens a window:
+    the next n spends of that object add at every order but skip the
+    climb test. n is the minimum, over the orders with r_i > 0 and a
+    finite level, of floor((L_i * (1 - 2**-29) - s_i) / r_i), clamped to
+    [0, 2**20], where s_i is the new total and L_i the level after any
+    climb. A different request object, or a climb, starts a new window.
+
+    Every test the window skips would find no climb. Write c, d and q for
+    the rounded L_i * (1 - 2**-29), c - s_i and d / r_i, so n <= q, and
+    u = 2**-53. Adding r_i to s_i k times, each sum rounded to nearest,
+    gives at most (s_i + k*r_i) * (1 + u)**k. Where c is normal, each of
+    the three roundings gains at most a factor 1 + u, so s_i + n*r_i <=
+    L_i * (1 - 2**-29) * (1 + u)**3; for k <= n <= 2**20 the factors
+    (1 + u)**(k + 3) stay below 1 + 2**-32, which the slack absorbs, and
+    every total in the window is at most L_i. Where c is subnormal,
+    rounding is monotone so c <= L_i, the subtraction and the sums are
+    exact, and q cannot round up past an integer (d and r_i are multiples
+    of 2**-1074 and d is below 2**-1022), so s_i + k*r_i <= c. An order
+    with r_i == 0 keeps its total, already within its level, and an
+    infinite level is never passed. So a spend that would climb, or
+    raise past rung 64, always takes the full path.
+    """
+    schedule = state.schedule
+    if request.orders is not schedule.orders and (
+        request.orders.orders != schedule.orders.orders
+    ):
         raise ValueError("request curve is defined over a different order set")
     new_spent = list(map(operator.add, state._spent, request.values))
-    if any(map(operator.gt, new_spent, state._levels)):
-        schedule = state.schedule
-        base = schedule._base
-        new_f = list(state._f)
-        for i, total in enumerate(new_spent):
-            # climb the ladder only; spent is nondecreasing so f never falls
-            while total > math.ldexp(base[i], new_f[i] - 1):
-                new_f[i] += 1
-                if new_f[i] > MAX_FILTER_INDEX:
-                    raise ValueError(
-                        f"spent budget {total} at order "
-                        f"{schedule.orders.orders[i]} exceeds the top "
-                        f"schedule level {MAX_FILTER_INDEX}"
-                    )
-        new_levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
-        new_bound = _bound(schedule, new_f)
-        state._f = new_f
-        state._levels = new_levels
-        state._bound = new_bound
+    if request is state._last and state._safe:
+        state._safe -= 1
+    else:
+        if any(map(operator.gt, new_spent, state._levels)):
+            base = schedule._base
+            new_f = list(state._f)
+            for i, total in enumerate(new_spent):
+                # climb the ladder only; spent is nondecreasing so f never falls
+                while total > math.ldexp(base[i], new_f[i] - 1):
+                    new_f[i] += 1
+                    if new_f[i] > MAX_FILTER_INDEX:
+                        raise ValueError(
+                            f"spent budget {total} at order "
+                            f"{schedule.orders.orders[i]} exceeds the top "
+                            f"schedule level {MAX_FILTER_INDEX}"
+                        )
+            state._levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
+            state._bound = _bound(schedule, new_f)
+            state._f = new_f
+        if request is state._last:
+            state._safe = _safe_repeats(new_spent, request.values, state._levels)
+        else:
+            state._last = request
+            state._safe = 0
     state._spent = new_spent
     state.step += 1
     return state
+
+
+def _safe_repeats(
+    spent: list[float], request: Sequence[float], levels: list[float]
+) -> int:
+    """How many more spends of request certainly climb no rung from spent
+    under levels; the window of `spend`."""
+    n = min(
+        [
+            (level * _SLACK - s) / r
+            for s, r, level in zip(spent, request, levels)
+            if r > 0.0 and level != math.inf
+        ],
+        default=math.inf,
+    )
+    return int(min(max(n, 0.0), _MAX_SAFE))
 
 
 def filter_index(state: OdometerState, alpha: float) -> int:
@@ -207,9 +270,9 @@ def early_stopping_bound(
     """
     if not eps_per_step:
         raise ValueError("eps_per_step must be nonempty")
-    if not isinstance(s, int) or not 1 <= s <= len(eps_per_step):
+    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= len(eps_per_step):
         raise ValueError(
-            f"s must be an integer in [1, {len(eps_per_step)}], got {s}"
+            f"s must be an integer in [1, {len(eps_per_step)}], got {s!r}"
         )
     _check_delta(delta)
     orders = eps_per_step[0].orders

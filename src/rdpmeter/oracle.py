@@ -272,23 +272,33 @@ def _walk(node, prob0, prob1, prefix, carry, policy, out0, out1):
 def renyi_divergence_views(
     v0: ViewDistribution, v1: ViewDistribution, alpha: float
 ) -> float:
-    """Exact divergence of order alpha between two view distributions."""
+    """Exact divergence of order alpha between two view distributions.
+
+    Where a leaf's term or their sum passes the float range, the sum is
+    redone as a max-shifted log-sum-exp of the terms' exponents; every
+    divergence the plain sum can hold keeps its bits."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
     logs0, logs1 = v0.logs, v1.logs
     if logs0.keys() != logs1.keys():
         raise ValueError("view supports differ; the divergence is infinite")
-    # exp(alpha*log p0 + (1-alpha)*log p1) per leaf, in C-level passes;
-    # fsum is exact, so the order of the terms does not matter
-    terms = map(
-        math.exp,
-        map(
+
+    def exponents():
+        # alpha*log p0 + (1-alpha)*log p1 per leaf, in C-level passes
+        return map(
             add,
             map(mul, repeat(alpha), logs0.values()),
             map(mul, repeat(1.0 - alpha), map(logs1.__getitem__, logs0)),
-        ),
-    )
-    return math.log(math.fsum(terms)) / (alpha - 1.0)
+        )
+
+    # fsum is exact, so the order of the terms does not matter
+    try:
+        return math.log(math.fsum(map(math.exp, exponents()))) / (alpha - 1.0)
+    except OverflowError:
+        logs = list(exponents())
+        top = max(logs)
+        total = math.fsum([math.exp(e - top) for e in logs])
+        return (top + math.log(total)) / (alpha - 1.0)
 
 
 def _symmetric_divergence(v0, v1, alpha):

@@ -693,6 +693,54 @@ def test_script_whose_true_curve_passes_the_float_range_loads(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_oracle_divergence_past_the_float_range_is_computed_in_log_space(
+    tmp_path, capsys
+):
+    # (p0/p1)**128 is about 1e384 for this pair, so the oracle's own sum
+    # overflows at order 128; that order is redone in log space
+    mech = DiscreteMechanism(("a", "b"), p0=(0.999, 0.001), p1=(0.001, 0.999))
+    orders = OrderSet([2.0, 128.0])
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "mech": mechanism_to_json(mech),
+        "request": RdpCurve(orders, (1000.0, 1000.0)).to_json(),
+    }))
+    cap = tmp_path / "cap.json"
+    cap.write_text(json.dumps(RdpCurve(orders, (1e7, 1e7)).to_json()))
+    code, out, err = run(
+        ["oracle", "verify-filter", "--script", str(script), "--cap", str(cap)], capsys
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] is True
+    true = discrete_rdp_curve(mech, orders).value(128.0)
+    assert report["divergence"][1] == pytest.approx(true, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "mech, message",
+    [
+        ({"kind": "gaussian", "sigma": "2"}, "sigma must be a number, got '2'"),
+        ({"kind": "gaussian", "sigma": True}, "sigma must be a number, got True"),
+        ({"kind": "gaussian", "sigma": 2.0, "sensitivity": "1"},
+         "sensitivity must be a number, got '1'"),
+        ({"kind": "discrete", "outcomes": ["a", "b"], "p0": ["0.5", "0.5"],
+          "p1": [0.5, 0.5]}, "each p0 entry must be a number, got '0.5'"),
+        ({"kind": "discrete", "outcomes": ["a", "b"], "p0": [0.5, 0.5],
+          "p1": [True, False]}, "each p1 entry must be a number, got True"),
+    ],
+    ids=["sigma-string", "sigma-bool", "sensitivity-string", "p0-strings", "p1-bools"],
+)
+def test_mechanism_number_that_is_not_a_json_number_is_a_validation_error(
+    tmp_path, capsys, mech, message
+):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"steps": [{"mech": mech, "count": 1}]}))
+    code, out, err = run(["replay", "--schedule", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("count", [2.7, True, "3"])
 def test_schedule_count_that_is_not_an_integer_is_a_validation_error(
     tmp_path, capsys, count

@@ -566,6 +566,27 @@ class TestReconstruct:
         del records[0][key]
         self._rejected(records, f"header has no '{key}'")
 
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            (FILTER, "delta", "1e-05"),
+            (FILTER, "delta", True),
+            (FILTER, "dp_target", "5.0"),
+            (FILTER, "dp_target", [5.0]),
+            (ODOMETER, "delta", "1e-05"),
+        ],
+    )
+    def test_header_number_that_is_not_a_json_number_is_rejected(self, mode, key, value):
+        records = self._records(mode)
+        records[0][key] = value
+        self._rejected(records, f"^header {key} must be a number, got ")
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_header_sealed_that_is_not_a_json_bool_is_rejected(self, value):
+        records = self._records(FILTER)
+        records[0]["sealed"] = value
+        self._rejected(records, "^header sealed must be true or false, got ")
+
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
     def test_header_orders_that_are_not_a_list_are_rejected(self, mode):
         # the filter header's orders are read to check its dp_target cap

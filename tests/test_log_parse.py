@@ -1,7 +1,7 @@
 """The log view parses each distinct record line once, and the replay
 reads each distinct request once. These tests keep the one-line parser
-and the line-by-line walk as references (the walk with its numbering and
-tail checks made type-exact, and format 2's elided requests), and
+and the line-by-line walk as references (the walk with its numbering,
+tail and header checks made type-exact, and format 2's elided requests), and
 require the same records, verdicts and messages on mutated logs."""
 
 import json
@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from log_formats import to_v1
 
-from rdpmeter.core import OrderSet, RdpCurve, _read_curve, _read_order_list, default_order_set
+from rdpmeter.core import (
+    OrderSet,
+    RdpCurve,
+    _as_number,
+    _read_curve,
+    _read_order_list,
+    default_order_set,
+)
 from rdpmeter.filters import new_filter, new_filter_from_dp_target
 from rdpmeter.harness import (
     _DIVERGES,
@@ -97,16 +104,20 @@ def reference_reconstruct(records: list):
 
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
+        delta = _as_number(_read("header", header, "delta"), "header delta")
         if "dp_target" in header and cap != new_filter_from_dp_target(
-            _read("header", header, "dp_target", float),
-            _read("header", header, "delta", float),
+            _as_number(_read("header", header, "dp_target"), "header dp_target"),
+            delta,
             _read("header", header, "orders", OrderSet),
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
-        state = new_filter(cap, sealed=bool(header.get("sealed", False)))
+        sealed = header.get("sealed", False)
+        if type(sealed) is not bool:
+            raise ValueError(f"header sealed must be true or false, got {sealed!r}")
+        state = new_filter(cap, sealed=sealed)
     elif kind == ODOMETER:
         state = new_odometer(
-            _read("header", header, "delta", float),
+            _as_number(_read("header", header, "delta"), "header delta"),
             _read("header", header, "orders",
                   lambda listed: _read_order_list(listed, order_sets)[0]),
         )

@@ -56,6 +56,17 @@ def test_discrete_rejects_bad_probability_sum():
         DiscreteMechanism(("a", "b"), (0.6, 0.6), (0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "p0, bad", [((True, False), "True"), (("0.5", "0.5"), "'0.5'"), ((0.5, None), "None")]
+)
+def test_discrete_entries_must_be_real_numbers(p0, bad):
+    with pytest.raises(ValueError, match=f"^each p0 entry must be a number, got {bad}$"):
+        DiscreteMechanism(("a", "b"), p0, (0.5, 0.5))
+    # other real types than int and float are numbers too
+    m = DiscreteMechanism(("a", "b"), (np.float32(0.5), np.float64(0.5)), (0.5, 0.5))
+    assert m.p0 == (0.5, 0.5)
+
+
 def test_discrete_renormalizes_tiny_drift():
     drift = 2e-13
     m = DiscreteMechanism(("a", "b"), (0.5 + drift, 0.5), (0.5, 0.5 + drift))

@@ -1,14 +1,19 @@
 import math
+import operator
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rdpmeter import odometers
 from rdpmeter.core import OrderSet, RdpCurve, default_order_set, rdp_to_dp
+from rdpmeter.harness import ScheduleReplay, ScheduleStep, SessionConfig, run_session
+from rdpmeter.mechanisms import GaussianMechanism
 from rdpmeter.odometers import (
     MAX_FILTER_INDEX,
     FilterSchedule,
+    _bound,
     bound_candidates,
     early_stopping_bound,
     filter_index,
@@ -61,6 +66,9 @@ def test_schedule_rejects_bad_inputs():
         sched.level(0, 2.0)
     with pytest.raises(ValueError):
         sched.level(MAX_FILTER_INDEX + 1, 2.0)
+    for f in (True, 1.0):
+        with pytest.raises(ValueError, match="filter index must be a positive integer"):
+            sched.level(f, 2.0)
 
 
 def test_schedule_rejects_a_delta_whose_log_argument_overflows():
@@ -194,6 +202,103 @@ def test_incremental_index_matches_from_scratch(amounts):
             )
 
 
+def _reference_spend(state, request):
+    """spend as it was before its no-climb window: the climb test runs on
+    every query. Kept as the reference the current form must match bit
+    for bit; it leaves the window fields alone."""
+    if request.orders.orders != state.schedule.orders.orders:
+        raise ValueError("request curve is defined over a different order set")
+    new_spent = list(map(operator.add, state._spent, request.values))
+    if any(map(operator.gt, new_spent, state._levels)):
+        schedule = state.schedule
+        base = schedule._base
+        new_f = list(state._f)
+        for i, total in enumerate(new_spent):
+            while total > math.ldexp(base[i], new_f[i] - 1):
+                new_f[i] += 1
+                if new_f[i] > MAX_FILTER_INDEX:
+                    raise ValueError("past the top schedule level")
+        new_levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
+        new_bound = _bound(schedule, new_f)
+        state._f = new_f
+        state._levels = new_levels
+        state._bound = new_bound
+    state._spent = new_spent
+    state.step += 1
+    return state
+
+
+# a request entry as a multiple of its order's first level: zero, a step
+# too small to climb for many repeats, one near a level, one that passes
+# a level or several at once, and one past the top rung
+_LEVEL_FRACTIONS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-7, max_value=0.3),
+    st.floats(min_value=0.9, max_value=1.1),
+    st.floats(min_value=1.0, max_value=8.0),
+    st.just(2.0**MAX_FILTER_INDEX),
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_spend_matches_the_per_query_reference_bit_for_bit(data):
+    orders, delta = data.draw(st.sampled_from([
+        (OrderSet([2.0]), DELTA),
+        (OrderSet([1.5, 3.0, 6.0, 12.0]), 0.05),
+        # a huge order: its first level is subnormal
+        (OrderSet([2.0, 1.7e308]), 0.5),
+    ]))
+    state, ref = new_odometer(delta, orders), new_odometer(delta, orders)
+    base = state.schedule._base
+    pool = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        values = []
+        for b in base:
+            if data.draw(st.integers(0, 4)) == 0:
+                values.append(data.draw(st.floats(min_value=5e-324, max_value=2e-308)))
+            else:
+                values.append(data.draw(_LEVEL_FRACTIONS) * b)
+        pool.append(RdpCurve(orders, tuple(values)))
+    # runs of one request object, so windows open, run out and are cut
+    # short; pool picks alternate requests
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        request = data.draw(st.sampled_from(pool))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+            try:
+                _reference_spend(ref, request)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    spend(state, request)
+            else:
+                spend(state, request)
+            assert [v.hex() for v in state._spent] == [v.hex() for v in ref._spent]
+            assert state._f == ref._f and state._levels == ref._levels
+            assert running_bound(state) == running_bound(ref)
+            assert state.step == ref.step
+
+
+def test_a_long_run_of_one_request_sets_a_window_once_per_climb(monkeypatch):
+    windows = []
+    real = odometers._safe_repeats
+
+    def counted(*args):
+        windows.append(real(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(odometers, "_safe_repeats", counted)
+    schedule = ScheduleReplay((ScheduleStep(GaussianMechanism(sigma=20.0), 10_000),))
+    log = run_session(SessionConfig(
+        mode="odometer", orders=default_order_set(), delta=DELTA, seed=0, source=schedule
+    ))
+    tails = [(r["f_per_alpha"], r["bound"]) for r in log.events]
+    climbs = sum(map(operator.ne, tails[1:], tails))
+    assert climbs == 160
+    assert 1 <= len(windows) <= climbs + 1
+    # the windows cover every spend but the first two and the climbs
+    assert sum(windows) >= 10_000 - 2 - climbs
+
+
 # ------------------------------------------------------------ running bound
 
 
@@ -319,7 +424,10 @@ def test_running_bound_after_every_spend_is_the_fresh_argmin(orders, seed):
 
 
 def _snapshot(state):
-    return (state.spent.values, list(state._f), running_bound(state), state.step)
+    return (
+        state.spent.values, list(state._f), list(state._levels), running_bound(state),
+        state.step, id(state._last), state._safe,
+    )
 
 
 @pytest.mark.parametrize(
@@ -336,13 +444,31 @@ def test_failed_spend_leaves_the_state_unchanged(make_request):
     orders = OrderSet([2.0, 32.0])
     state = new_odometer(DELTA, orders)
     spend(state, RdpCurve(orders, (0.0, 1.5 * state.schedule.level(1, 32.0))))
+    # a repeated small request opens a no-climb window the failure must keep
+    small = RdpCurve(orders, (0.0, 0.01 * state.schedule.level(2, 32.0)))
+    spend(state, small)
+    spend(state, small)
+    assert state._last is small and state._safe > 0
     before = _snapshot(state)
     with pytest.raises(ValueError):
         spend(state, make_request(state))
     assert _snapshot(state) == before
     # the accountant still works after the refused call
     spend(state, RdpCurve(orders, (state.schedule.level(2, 2.0), 0.0)))
-    assert filter_index(state, 2.0) == 2 and state.step == before[3] + 1
+    assert filter_index(state, 2.0) == 2 and state.step == before[4] + 1
+
+
+def test_a_repeat_past_rung_64_raises_and_keeps_its_window():
+    orders = OrderSet([2.0])
+    state = new_odometer(DELTA, orders)
+    request = curve(orders, 0.75 * state.schedule.level(MAX_FILTER_INDEX, 2.0))
+    spend(state, request)
+    assert filter_index(state, 2.0) == MAX_FILTER_INDEX
+    before = _snapshot(state)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            spend(state, request)
+        assert _snapshot(state) == before
 
 
 def test_bound_ties_break_to_smallest_order():
@@ -382,6 +508,8 @@ def test_early_stopping_validates_inputs():
         early_stopping_bound(steps, 0, DELTA)
     with pytest.raises(ValueError):
         early_stopping_bound(steps, 3, DELTA)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        early_stopping_bound(steps, True, DELTA)
     with pytest.raises(ValueError):
         early_stopping_bound(
             [curve(orders, 0.1), curve(OrderSet([4.0]), 0.1)], 2, DELTA
