@@ -104,12 +104,25 @@ def _as_list(value, name: str) -> tuple:
     return tuple(value)
 
 
+# the types json.load gives a number
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_number(value, name: str) -> float:
     """A real number that is not a bool, as a float: what a JSON number
     reads as. float() alone would also take "2" and true."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_numbers(values: tuple, name: str) -> None:
+    """Raise TypeError unless every entry is a real number that is not a
+    bool; one C-level pass where every entry is an int or a float."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise TypeError(f"each {name} entry must be a number, got {v!r}")
 
 
 def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[int]]]:
@@ -119,10 +132,12 @@ def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[
     dict, so each distinct list is built and checked once."""
     key = _as_list(listed, "orders")
     try:
+        # an entry equal to a cached order is an int or a float: no
+        # string, bool or container equals an order > 1
         return order_sets[key]
     except (KeyError, TypeError):
-        # an unhashable entry is a list or an object, which OrderSet
-        # rejects with its own message
+        # TypeError: an unhashable entry, a list or an object
+        _check_numbers(key, "orders")
         orders = OrderSet(key)
     values = [float(a) for a in key]
     positions = sorted(range(len(values)), key=values.__getitem__)
@@ -135,12 +150,14 @@ def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[
 def _read_curve(data: Mapping, order_sets: dict, listed=None) -> RdpCurve:
     """A JSON curve {"orders": [...], "eps": [...]}, each eps paired with
     the order listed at its position; see _read_order_list for order_sets.
+    Every order and eps must be a JSON number (TypeError otherwise).
     Given a JSON order list `listed`, a curve {"eps": [...]} without
     "orders" is read as if it listed those orders."""
     if listed is None or "orders" in data:
         listed = data["orders"]
     orders, positions = _read_order_list(listed, order_sets)
     eps = _as_list(data["eps"], "eps")
+    _check_numbers(eps, "eps")
     if positions is not None and len(eps) == len(positions):
         eps = tuple(eps[k] for k in positions)
     return RdpCurve(orders, eps)

@@ -529,11 +529,13 @@ def _replay(
         if isinstance(n, bool) or not isinstance(n, int) or n != i:
             raise ValueError(f"{where} is numbered {n!r}")
         # Equal request data read to the same curve but for the sign of a
-        # zero: float() maps 1, 1.0 and true alike, and -0.0 == 0.0. The
+        # zero: float() maps 1 and 1.0 alike, and -0.0 == 0.0. The
         # accountants only add request values to totals that start at 0.0
         # and compare the sums, and x + -0.0 is x + 0.0 for every such x,
-        # so reusing the last curve gives bit-identical steps. A format 2
-        # record without a request repeats the previous record's.
+        # so reusing the last curve gives bit-identical steps. Equal data
+        # can still hold a bool where the last held a 0 or a 1 (true ==
+        # 1.0), which the reader refuses, so such data is read again. A
+        # format 2 record without a request repeats the previous record's.
         elided = v2 and "request" not in record
         if request is None or not elided and record.get("request") != data:
             request = _read(where, record, "request", read_curve)
@@ -541,6 +543,9 @@ def _replay(
             if (request.orders is not state.orders
                     and request.orders.orders != state.orders.orders):
                 raise ValueError(f"{where}: request is on orders other than the header's")
+            bools_equal = 0.0 in request.values or 1.0 in request.values
+        elif not elided and bools_equal:
+            _read(where, record, "request", read_curve)
         for key, expected in advance(request).items():
             logged = _read(where, record, key)
             if not _same(logged, expected):

@@ -14,12 +14,9 @@ from itertools import repeat
 from operator import truediv
 from typing import Mapping, Union
 
-from rdpmeter.core import OrderSet, RdpCurve, _as_list, _as_number
+from rdpmeter.core import _NUMBER_TYPES, OrderSet, RdpCurve, _as_list, _as_number
 
 PROB_SUM_TOL = 1e-12
-# the types json.load gives a number; any other real type but bool is
-# checked by _as_number
-_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -30,9 +27,12 @@ class GaussianMechanism:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
+        # a bool or a string is refused here as in mechanism JSON
+        sigma = _as_number(self.sigma, "sigma")
+        sensitivity = _as_number(self.sensitivity, "sensitivity")
+        if not math.isfinite(sigma) or sigma <= 0.0:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not math.isfinite(self.sensitivity) or self.sensitivity <= 0.0:
+        if not math.isfinite(sensitivity) or sensitivity <= 0.0:
             raise ValueError(
                 f"sensitivity must be finite and > 0, got {self.sensitivity}"
             )

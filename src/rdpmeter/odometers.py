@@ -23,10 +23,12 @@ returns the kept object, the same one until a rung moves.
 
 A training run also sends one request curve many times in a row. When a
 spend repeats the request object of the spend before it, `spend` counts,
-once, how many further spends of that object provably climb no rung
-(`_safe_repeats`); those spends skip the per-order climb test but still
-add at every order, so totals, rungs and bounds are bit for bit the
-ones the full test gives.
+once, how many further spends of that object certainly climb no rung
+(`filters._certified_repeats`, the window the filter also uses). Those
+spends are only counted: no climb test, no per-order work. The count is
+added at every order when the totals are next read (`filters._Totals`),
+as the same float additions in the same order, so totals, rungs and
+bounds are bit for bit the ones the full path gives.
 """
 
 import math
@@ -35,12 +37,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve, _check_delta
+from rdpmeter.filters import _certified_repeats, _Totals
 
 MAX_FILTER_INDEX = 64
-# spend's certified no-climb window: at most _MAX_SAFE spends long, with
-# every level scaled by _SLACK (see spend for why these two suffice)
-_MAX_SAFE = 2**20
-_SLACK = 1.0 - 2.0**-29
 
 
 def _log_arg(m: int, f: int, delta: float) -> float:
@@ -105,7 +104,7 @@ class RunningBound:
     delta: float
 
 
-class OdometerState:
+class OdometerState(_Totals):
     """Single-owner mutable accountant; spend calls must be serialized.
 
     Unlike a filter, an odometer never refuses: every request is added
@@ -113,19 +112,22 @@ class OdometerState:
     spent, the rung per order, each order's current level, the running
     bound and the step count; the session log is the per-query record.
     _last and _safe are the request object of the last spend and how many
-    more spends of it are certified to climb no rung (see spend).
-    `spend` is the only writer.
+    more spends of it are certified to climb no rung, and _pending how
+    many certified spends are counted but not yet added; _spent reads the
+    totals with them added (see spend and `filters._Totals`). `spend` is
+    the only writer.
     """
 
     def __init__(self, schedule: FilterSchedule):
         self.schedule = schedule
-        self._spent = [0.0] * len(schedule.orders)
+        self._totals = [0.0] * len(schedule.orders)
         self._f = [1] * len(schedule.orders)
         self._levels = list(schedule._base)  # level(1, alpha) is the base
         self._bound = _bound(schedule, self._f)
         self.step = 0
         self._last: Optional[RdpCurve] = None
         self._safe = 0
+        self._pending = 0
 
     @property
     def orders(self) -> OrderSet:
@@ -146,76 +148,50 @@ def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
 
     An order climbs when its new total passes its level. A full spend of
     the same request object as the spend before it also opens a window:
-    the next n spends of that object add at every order but skip the
-    climb test. n is the minimum, over the orders with r_i > 0 and a
-    finite level, of floor((L_i * (1 - 2**-29) - s_i) / r_i), clamped to
-    [0, 2**20], where s_i is the new total and L_i the level after any
-    climb. A different request object, or a climb, starts a new window.
-
-    Every test the window skips would find no climb. Write c, d and q for
-    the rounded L_i * (1 - 2**-29), c - s_i and d / r_i, so n <= q, and
-    u = 2**-53. Adding r_i to s_i k times, each sum rounded to nearest,
-    gives at most (s_i + k*r_i) * (1 + u)**k. Where c is normal, each of
-    the three roundings gains at most a factor 1 + u, so s_i + n*r_i <=
-    L_i * (1 - 2**-29) * (1 + u)**3; for k <= n <= 2**20 the factors
-    (1 + u)**(k + 3) stay below 1 + 2**-32, which the slack absorbs, and
-    every total in the window is at most L_i. Where c is subnormal,
-    rounding is monotone so c <= L_i, the subtraction and the sums are
-    exact, and q cannot round up past an integer (d and r_i are multiples
-    of 2**-1074 and d is below 2**-1022), so s_i + k*r_i <= c. An order
-    with r_i == 0 keeps its total, already within its level, and an
-    infinite level is never passed. So a spend that would climb, or
-    raise past rung 64, always takes the full path.
+    the next n spends of that object are counted, in O(1), and added
+    later (see `filters._Totals`). n is the min over orders of
+    floor((L * (1 - 2**-29) - s) / r), clamped to [0, 2**20], where s is
+    the new total and L the level after any climb; no total in the
+    window passes its level (see `filters._certified_repeats`), so none
+    of these spends climbs a rung or raises past rung 64. A different
+    request object, or a climb, starts a new window.
     """
+    if request is state._last and state._safe:
+        # _last passed the order-set check
+        state._safe -= 1
+        state._pending += 1
+        state.step += 1
+        return state
     schedule = state.schedule
     if request.orders is not schedule.orders and (
         request.orders.orders != schedule.orders.orders
     ):
         raise ValueError("request curve is defined over a different order set")
     new_spent = list(map(operator.add, state._spent, request.values))
-    if request is state._last and state._safe:
-        state._safe -= 1
+    if any(map(operator.gt, new_spent, state._levels)):
+        base = schedule._base
+        new_f = list(state._f)
+        for i, total in enumerate(new_spent):
+            # climb the ladder only; spent is nondecreasing so f never falls
+            while total > math.ldexp(base[i], new_f[i] - 1):
+                new_f[i] += 1
+                if new_f[i] > MAX_FILTER_INDEX:
+                    raise ValueError(
+                        f"spent budget {total} at order "
+                        f"{schedule.orders.orders[i]} exceeds the top "
+                        f"schedule level {MAX_FILTER_INDEX}"
+                    )
+        state._levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
+        state._bound = _bound(schedule, new_f)
+        state._f = new_f
+    if request is state._last:
+        state._safe = _certified_repeats(new_spent, request.values, state._levels, min)
     else:
-        if any(map(operator.gt, new_spent, state._levels)):
-            base = schedule._base
-            new_f = list(state._f)
-            for i, total in enumerate(new_spent):
-                # climb the ladder only; spent is nondecreasing so f never falls
-                while total > math.ldexp(base[i], new_f[i] - 1):
-                    new_f[i] += 1
-                    if new_f[i] > MAX_FILTER_INDEX:
-                        raise ValueError(
-                            f"spent budget {total} at order "
-                            f"{schedule.orders.orders[i]} exceeds the top "
-                            f"schedule level {MAX_FILTER_INDEX}"
-                        )
-            state._levels = [math.ldexp(b, f - 1) for b, f in zip(base, new_f)]
-            state._bound = _bound(schedule, new_f)
-            state._f = new_f
-        if request is state._last:
-            state._safe = _safe_repeats(new_spent, request.values, state._levels)
-        else:
-            state._last = request
-            state._safe = 0
-    state._spent = new_spent
+        state._last = request
+        state._safe = 0
+    state._totals = new_spent
     state.step += 1
     return state
-
-
-def _safe_repeats(
-    spent: list[float], request: Sequence[float], levels: list[float]
-) -> int:
-    """How many more spends of request certainly climb no rung from spent
-    under levels; the window of `spend`."""
-    n = min(
-        [
-            (level * _SLACK - s) / r
-            for s, r, level in zip(spent, request, levels)
-            if r > 0.0 and level != math.inf
-        ],
-        default=math.inf,
-    )
-    return int(min(max(n, 0.0), _MAX_SAFE))
 
 
 def filter_index(state: OdometerState, alpha: float) -> int:

@@ -119,6 +119,26 @@ class TestConvert:
         assert out == ""
         assert err.count("\n") == 1 and "must be a list, got" in err
 
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ('{"orders": ["2", 4.0], "eps": ["1.0", true]}', "orders entry must be a number, got '2'"),
+            ('{"orders": [2, 4.0], "eps": ["1.0", 1]}', "eps entry must be a number, got '1.0'"),
+            ('{"orders": [2, 4.0], "eps": [1, true]}', "eps entry must be a number, got True"),
+            ('{"orders": [2, null], "eps": [1, 1]}', "orders entry must be a number, got None"),
+        ],
+        ids=["string-order", "string-eps", "bool-eps", "null-order"],
+    )
+    def test_curve_entry_that_is_not_a_json_number_is_an_error(
+        self, tmp_path, capsys, text, bad
+    ):
+        # float() would read "2" and true as 2.0 and 1.0
+        path = tmp_path / "curve.json"
+        path.write_text(text)
+        code, out, err = run(["convert", "--curve", str(path), "--delta", "1e-5"], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and str(path) in err and bad in err
+
     def test_missing_file_is_a_validation_error(self, files, capsys):
         code, _, err = run(
             ["convert", "--curve", files["tmp"] + "/nope.json", "--delta", "1e-5"],

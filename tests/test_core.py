@@ -147,6 +147,34 @@ def test_json_curve_lists_must_be_lists(data, name, kind):
         RdpCurve.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data, name, bad",
+    [
+        ({"orders": ["2", 4.0], "eps": [1.0, 1.0]}, "orders", "'2'"),
+        ({"orders": [2.0, True], "eps": [1.0, 1.0]}, "orders", "True"),
+        ({"orders": [2.0, 4.0], "eps": [1.0, "1.0"]}, "eps", "'1.0'"),
+        ({"orders": [2.0, 4.0], "eps": [False, 1.0]}, "eps", "False"),
+        ({"orders": [2.0, 4.0], "eps": [1.0, [1.0]]}, "eps", r"\[1.0\]"),
+    ],
+    ids=["orders-str", "orders-bool", "eps-str", "eps-bool", "eps-list"],
+)
+def test_json_curve_entries_must_be_numbers(data, name, bad):
+    # float() would read "2" as 2.0 and true as 1.0
+    with pytest.raises(TypeError, match=f"^each {name} entry must be a number, got {bad}$"):
+        RdpCurve.from_json(data)
+    # also where the order list was read before, as every log and script
+    # reads all but its first
+    order_sets: dict = {}
+    _read_curve({"orders": [2.0, 4.0], "eps": [1.0, 1.0]}, order_sets)
+    with pytest.raises(TypeError, match=f"^each {name} entry must be a number"):
+        _read_curve(data, order_sets)
+    # other real types than int and float are numbers too
+    import numpy as np
+
+    curve = RdpCurve.from_json({"orders": [np.float64(2.0), 4], "eps": [np.float32(0.5), 1]})
+    assert curve.values == (0.5, 1.0)
+
+
 def test_eps_only_curve_reads_on_the_given_order_list():
     order_sets: dict = {}
     full = _read_curve({"orders": [4.0, 2.0], "eps": [2.0, 1.0]}, order_sets)

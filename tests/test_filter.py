@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from windows import CountingCurve, drifting_run, hexes, repeat_sum
 
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp
 from rdpmeter.filters import (
@@ -22,7 +23,6 @@ from rdpmeter.harness import (
     run_session,
 )
 from rdpmeter.mechanisms import RawCurve
-
 
 def curve(**kv):
     return RdpCurve.from_mapping({float(k[1:]): v for k, v in kv.items()})
@@ -108,17 +108,6 @@ def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
     # the accountant still works after the refused call
     assert try_spend(f, RdpCurve(orders, (0.5, 0.0))) is Decision.GRANT
     assert f.spent.values == (1.0, 0.25)
-
-
-class CountingCurve(RdpCurve):
-    """A curve that counts reads of its values."""
-
-    reads = 0
-
-    def __getattribute__(self, name):
-        if name == "values":
-            type(self).reads += 1
-        return super().__getattribute__(name)
 
 
 def test_a_repeated_denial_does_no_per_order_work():
@@ -263,26 +252,43 @@ _AMOUNTS = st.one_of(
 )
 
 
+_CAPS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=1e-300),
+)
+
+
+# what a caller may read between sends: each must see the totals the
+# sends so far give, whether a window has deferred some of them or not
+_READS = (
+    lambda f: hexes(f.spent.values),
+    lambda f: hexes(remaining(f).values),
+    lambda f: hexes(f._spent),
+)
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_try_spend_matches_the_reference_bit_for_bit(data):
     n_orders = data.draw(st.integers(min_value=1, max_value=5))
     orders = OrderSet([1.5 * 2.0**i for i in range(n_orders)])
-    cap = RdpCurve(
-        orders,
-        tuple(
-            data.draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
-            for _ in range(n_orders)
-        ),
-    )
+    cap = RdpCurve(orders, tuple(data.draw(_CAPS) for _ in range(n_orders)))
     sealed = data.draw(st.booleans())
     f, ref = new_filter(cap, sealed=sealed), new_filter(cap, sealed=sealed)
     sent = []
+    budget = 3000  # sends per example
     for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
+        if data.draw(st.integers(min_value=0, max_value=9)) == 0:
+            # a new cap object, equal or not, under both
+            values = cap.values if data.draw(st.booleans()) else tuple(
+                data.draw(_CAPS) for _ in range(n_orders)
+            )
+            cap = f.cap = ref.cap = RdpCurve(orders, values)
         if sent and data.draw(st.booleans()):
             # the same object again: the last one, which repeats a PASS
-            # (the shortcut) or a GRANT, or an earlier one, with other
-            # requests in between
+            # (the shortcut) or a GRANT (a window), or an earlier one,
+            # with other requests in between
             last = data.draw(st.booleans())
             request = sent[-1] if last else data.draw(st.sampled_from(sent))
         else:
@@ -296,9 +302,105 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
                 values[k] = max(0.0, gap if step == 0.0 else math.nextafter(gap, step))
             request = RdpCurve(orders, tuple(values))
             sent.append(request)
-        assert try_spend(f, request) is _reference_try_spend(ref, request)
-        assert [v.hex() for v in f.spent.values] == [v.hex() for v in ref.spent.values]
+        # sent once, or in a run long enough to open a window, run it out
+        # or have it cut short, with one read somewhere in the run
+        run = min(budget, data.draw(st.sampled_from([1, 1, 1, 2, 3, 17, 300, 2000])))
+        budget -= run
+        read_at = data.draw(st.integers(min_value=0, max_value=run))
+        read = data.draw(st.sampled_from(_READS))
+        for k in range(run):
+            if k == read_at:
+                assert read(f) == read(ref)
+            assert try_spend(f, request) is _reference_try_spend(ref, request)
+        assert hexes(f.spent.values) == hexes(ref.spent.values)
         assert f._passed_once == ref._passed_once
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_a_window_ends_where_the_full_test_does(ulps):
+    # the k-th repeat lands one ulp below, on or one ulp above the cap
+    k = 100
+    bound = 12.25
+    a, r = drifting_run(bound, bound + ulps * math.ulp(bound), k)
+    # without the slack the window opened after the second repeat would
+    # cover the k-th
+    second = a + r + r
+    assert math.floor((bound - second) / r) >= k - 2
+    orders = OrderSet([2.0])
+    f, ref = new_filter(curve(a2=bound)), new_filter(curve(a2=bound))
+    start, request = RdpCurve(orders, (a,)), RdpCurve(orders, (r,))
+    for state in (f, ref):
+        assert try_spend(state, start) is Decision.GRANT
+    decisions = []
+    for _ in range(k + 3):
+        decisions.append(try_spend(f, request))
+        assert decisions[-1] is _reference_try_spend(ref, request)
+    assert decisions.count(Decision.GRANT) == (k if ulps <= 0 else k - 1)
+    assert hexes(f.spent.values) == hexes(ref.spent.values)
+
+
+def test_an_order_with_a_zero_request_that_fits_grants_every_repeat():
+    # order 2 has cap 0 and request 0: it fits for good, so the window is
+    # as long as it can be, while order 4 passes its cap
+    f, ref = new_filter(curve(a2=0.0, a4=1.0)), new_filter(curve(a2=0.0, a4=1.0))
+    request = curve(a2=0.0, a4=0.3)
+    for _ in range(3000):
+        assert try_spend(f, request) is Decision.GRANT
+        _reference_try_spend(ref, request)
+    assert f._safe == 2**20 - 2998
+    assert hexes(f.spent.values) == hexes(ref.spent.values)
+    assert f.spent.value(4.0) > 800.0
+
+
+def test_a_repeated_grant_does_no_per_order_work():
+    f = new_filter(curve(a2=100.0, a4=100.0))
+    request = CountingCurve(f.orders, (0.1, 0.2))
+    for _ in range(2):  # the second GRANT of the object opens the window
+        assert try_spend(f, request) is Decision.GRANT
+    reads = CountingCurve.reads
+    for _ in range(300):
+        assert try_spend(f, request) is Decision.GRANT
+    assert CountingCurve.reads == reads
+    # the totals are read once, and the 300 sums are made then
+    assert f.spent.values == (repeat_sum(0.0, 0.1, 302), repeat_sum(0.0, 0.2, 302))
+    assert CountingCurve.reads == reads + 1
+
+
+def test_pending_sends_compare_equal_and_print_like_added_ones():
+    cap = curve(a2=100.0, a4=100.0)
+    request = curve(a2=0.1, a4=0.2)
+    f, g = new_filter(cap), new_filter(cap)
+    for _ in range(250):
+        try_spend(f, request)
+        try_spend(g, request)
+        g._spent  # g adds each send as it comes
+    assert f._pending > 0 and g._pending == 0
+    assert repr(f) == repr(g)
+    assert f == g
+    try_spend(f, request)
+    assert f != g
+
+
+def test_a_new_cap_object_ends_the_window():
+    f = new_filter(curve(a2=100.0))
+    request = curve(a2=1.0)
+    for _ in range(10):
+        assert try_spend(f, request) is Decision.GRANT
+    assert f._safe > 0 and f._pending > 0
+    # the window was certified under the old cap; under the new one the
+    # next send no longer fits
+    f.cap = curve(a2=10.5)
+    assert try_spend(f, request) is Decision.PASS
+    assert f.spent.values == (10.0,)
+    # a PASS of another object ends a window as well
+    f.cap = curve(a2=100.0)
+    for _ in range(10):
+        try_spend(f, request)
+    assert f._safe > 0
+    assert try_spend(f, curve(a2=500.0)) is Decision.PASS
+    assert f._safe == 0
+    assert try_spend(f, request) is Decision.GRANT
+    assert f.spent.values == (repeat_sum(0.0, 1.0, 21),)
 
 
 def test_safety_under_ten_thousand_random_requests():

@@ -651,6 +651,34 @@ class TestReconstruct:
         )
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize("key, value", [("orders", "2"), ("eps", True), ("eps", "0.5")])
+    def test_request_entry_that_is_not_a_number_names_its_record(self, mode, key, value):
+        records = self._records(mode)
+        records[2]["request"][key][0] = value
+        self._rejected(
+            records,
+            f"^record 2 has a malformed 'request': TypeError\\(.each {key} entry must be a number",
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize("eps, bad", [(1.0, True), (0.0, False), (1, True)])
+    def test_repeated_request_with_a_bool_equal_to_its_eps_names_its_record(
+        self, mode, eps, bad
+    ):
+        # the replay reuses the last curve for equal request data, and
+        # true == 1.0; the bool must be refused all the same
+        records = self._records(mode)
+        records[1]["request"]["eps"][0] = eps
+        records[2]["request"] = json.loads(json.dumps(records[1]["request"]))
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        reconstruct(SessionLog.from_jsonl(text))
+        records[2]["request"]["eps"][0] = bad
+        self._rejected(
+            records,
+            "^record 2 has a malformed 'request': TypeError\\(.each eps entry must be a number",
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
     def test_request_with_reordered_orders_replays_the_same(self, mode):
         records = self._records(mode)
         text = "".join(json.dumps(r) + "\n" for r in records)
@@ -1172,6 +1200,24 @@ class TestExport:
         assert rows[0] == ["step", "decision", "spent_2.0"]
         assert [r[1] for r in rows[1:]] == ["GRANT", "GRANT", "PASS", "GRANT"]
         assert [r[2] for r in rows[1:]] == ["0.4", "0.9", "0.9", "1.0"]
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_csv_rows_read_every_deferred_sum(self, mode):
+        # one request object 600 times: windows open, and the replay under
+        # the export reads the totals after each send, mid-window
+        orders = default_order_set()
+        schedule = gaussian_schedule(1, sigma=30.0, count=600)
+        config = SessionConfig(
+            mode=mode, orders=orders, delta=1e-5, seed=0, source=schedule,
+            cap=RdpCurve(orders, (1e6,) * len(orders)) if mode == FILTER else None,
+        )
+        log = run_session(config)
+        start = 2 if mode == FILTER else 1
+        rows = [r.split(",")[start:start + len(orders)]
+                for r in log_to_csv(log).splitlines()[1:]]
+        totals = replay_schedule(schedule, orders)
+        assert rows == [[repr(v) for v in total.values] for total in totals]
+        assert log.final_state.spent == totals[-1]
 
     def test_odometer_csv_carries_f_and_bound_columns(self):
         log = self._odometer_log(3)

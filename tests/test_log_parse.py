@@ -102,13 +102,16 @@ def reference_reconstruct(records: list):
     def read_curve(data) -> RdpCurve:
         return _read_curve(data, order_sets)
 
+    def read_orders(listed) -> OrderSet:
+        return _read_order_list(listed, order_sets)[0]
+
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
         delta = _as_number(_read("header", header, "delta"), "header delta")
         if "dp_target" in header and cap != new_filter_from_dp_target(
             _as_number(_read("header", header, "dp_target"), "header dp_target"),
             delta,
-            _read("header", header, "orders", OrderSet),
+            _read("header", header, "orders", read_orders),
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
         sealed = header.get("sealed", False)
@@ -118,8 +121,7 @@ def reference_reconstruct(records: list):
     elif kind == ODOMETER:
         state = new_odometer(
             _as_number(_read("header", header, "delta"), "header delta"),
-            _read("header", header, "orders",
-                  lambda listed: _read_order_list(listed, order_sets)[0]),
+            _read("header", header, "orders", read_orders),
         )
         if not exact(header.get("bound"), _bound_to_json(running_bound(state))):
             raise ValueError("header bound is not a fresh odometer's bound")

@@ -46,6 +46,24 @@ def test_gaussian_rejects_bad_parameters():
         GaussianMechanism(sigma=math.inf)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sigma": True}, "sigma must be a number, got True"),
+        ({"sigma": "2"}, "sigma must be a number, got '2'"),
+        ({"sigma": 2.0, "sensitivity": True}, "sensitivity must be a number, got True"),
+    ],
+)
+def test_gaussian_parameters_must_be_real_numbers(kwargs, message):
+    # the rule mechanism JSON is read with
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GaussianMechanism(**kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mechanism_from_json({"kind": "gaussian", **kwargs})
+    # other real types than int and float are numbers too
+    assert GaussianMechanism(np.float64(2.0), sensitivity=np.int64(1)).sigma == 2.0
+
+
 def test_discrete_rejects_support_mismatch():
     with pytest.raises(ValueError):
         DiscreteMechanism(("a", "b"), (1.0, 0.0), (0.5, 0.5))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from windows import CountingCurve, drifting_run, hexes, repeat_sum
 
 from rdpmeter import odometers
 from rdpmeter.core import OrderSet, RdpCurve, default_order_set, rdp_to_dp
@@ -223,7 +224,7 @@ def _reference_spend(state, request):
         state._f = new_f
         state._levels = new_levels
         state._bound = new_bound
-    state._spent = new_spent
+    state._totals = new_spent
     state.step += 1
     return state
 
@@ -260,11 +261,22 @@ def test_spend_matches_the_per_query_reference_bit_for_bit(data):
             else:
                 values.append(data.draw(_LEVEL_FRACTIONS) * b)
         pool.append(RdpCurve(orders, tuple(values)))
-    # runs of one request object, so windows open, run out and are cut
-    # short; pool picks alternate requests
+    # runs of one request object, short and long, so windows open, run
+    # out and are cut short; pool picks alternate requests. Each run has
+    # one read somewhere in it; totals are compared after each run, the
+    # rest after every spend (reading them adds nothing)
+    budget = 3000  # spends per example
     for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
         request = data.draw(st.sampled_from(pool))
-        for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        run = min(budget, data.draw(st.one_of(
+            st.integers(min_value=1, max_value=40), st.sampled_from([300, 2000])
+        )))
+        budget -= run
+        read_at = data.draw(st.integers(min_value=0, max_value=run))
+        read = data.draw(st.sampled_from(_READS))
+        for k in range(run):
+            if k == read_at:
+                assert read(state) == read(ref)
             try:
                 _reference_spend(ref, request)
             except ValueError:
@@ -272,21 +284,88 @@ def test_spend_matches_the_per_query_reference_bit_for_bit(data):
                     spend(state, request)
             else:
                 spend(state, request)
-            assert [v.hex() for v in state._spent] == [v.hex() for v in ref._spent]
             assert state._f == ref._f and state._levels == ref._levels
             assert running_bound(state) == running_bound(ref)
             assert state.step == ref.step
+        assert hexes(state._spent) == hexes(ref._spent)
+        if budget == 0:
+            break
+
+
+# what a caller may read between spends: each must see the totals the
+# spends so far give, whether a window has deferred some of them or not
+_READS = (
+    lambda s: hexes(s.spent.values),
+    lambda s: hexes(s._spent),
+    lambda s: bound_candidates(s),
+)
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_a_window_ends_where_the_climb_test_does(ulps):
+    # the k-th repeat lands one ulp below, on or one ulp above the level
+    k = 100
+    orders = OrderSet([2.0])
+    state, ref = new_odometer(DELTA, orders), new_odometer(DELTA, orders)
+    level = state.schedule.level(1, 2.0)
+    a, r = drifting_run(level, level + ulps * math.ulp(level), k)
+    # without the slack the window opened by the second repeat would
+    # cover the k-th
+    assert math.floor((level - (a + r + r)) / r) >= k - 2
+    start, request = curve(orders, a), curve(orders, r)
+    climbed_at = []
+    for s in (state, ref):
+        spend(s, start)
+    for i in range(1, k + 4):
+        spend(state, request)
+        _reference_spend(ref, request)
+        assert state._f == ref._f
+        if ref._f == [2] and not climbed_at:
+            climbed_at.append(i)
+    assert climbed_at == [k if ulps > 0 else k + 1]
+    assert hexes(state._spent) == hexes(ref._spent)
+
+
+def test_a_windowed_spend_does_no_per_order_work():
+    orders = OrderSet([2.0, 32.0])
+    state = new_odometer(DELTA, orders)
+    request = CountingCurve(orders, (1e-6, 1e-7))
+    for _ in range(2):  # the second spend of the object opens the window
+        spend(state, request)
+    assert state._safe > 300
+    reads = CountingCurve.reads
+    for _ in range(300):
+        spend(state, request)
+    assert CountingCurve.reads == reads and state.step == 302
+    # the totals are read once, and the 300 sums are made then
+    assert state.spent.values == (repeat_sum(0.0, 1e-6, 302), repeat_sum(0.0, 1e-7, 302))
+    assert CountingCurve.reads == reads + 1
+
+
+def test_pending_spends_read_like_added_ones():
+    orders = default_order_set()
+    request = RdpCurve(orders, tuple(a / 800.0 for a in orders))
+    state, added = new_odometer(DELTA, orders), new_odometer(DELTA, orders)
+    for _ in range(250):
+        spend(state, request)
+        spend(added, request)
+        added._spent  # added sums each spend as it comes
+    assert state._pending > 0 and added._pending == 0
+    assert running_bound(state) == running_bound(added)
+    assert bound_candidates(state) == bound_candidates(added)
+    assert repr(state.spent) == repr(added.spent)
+    assert state.spent == added.spent and state.step == added.step
 
 
 def test_a_long_run_of_one_request_sets_a_window_once_per_climb(monkeypatch):
     windows = []
-    real = odometers._safe_repeats
+    real = odometers._certified_repeats
 
     def counted(*args):
         windows.append(real(*args))
         return windows[-1]
 
-    monkeypatch.setattr(odometers, "_safe_repeats", counted)
+    monkeypatch.setattr(odometers, "_certified_repeats", counted)
     schedule = ScheduleReplay((ScheduleStep(GaussianMechanism(sigma=20.0), 10_000),))
     log = run_session(SessionConfig(
         mode="odometer", orders=default_order_set(), delta=DELTA, seed=0, source=schedule

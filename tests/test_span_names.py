@@ -59,8 +59,11 @@ def test_every_filter_decision_goes_through_try_spend(monkeypatch):
     original = filters.try_spend
 
     def counted(state, request):
-        calls.append(1)
-        return original(state, request)
+        # 1 for a send a window counted without per-order work, else 0
+        pending = state._pending
+        decision = original(state, request)
+        calls.append(int(state._pending > pending))
+        return decision
 
     monkeypatch.setattr(filters, "try_spend", counted)
     monkeypatch.setattr(harness, "try_spend", counted)
@@ -75,14 +78,15 @@ def test_every_filter_decision_goes_through_try_spend(monkeypatch):
         dp_target=8.0,
     )
     log = harness.run_session(config)
-    assert len(calls) == 250
+    assert len(calls) == 250 and sum(calls) > 0
     harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
-    assert len(calls) == 500
+    assert len(calls) == 500 and sum(calls[250:]) == sum(calls[:250])
 
 
 def test_every_odometer_step_goes_through_spend(monkeypatch):
     # odometers.spend.calls likewise: the replay reads each distinct
-    # request once, but still spends once per record
+    # request once, but still spends once per record, and a spend that a
+    # window only counts is a call too
     from rdpmeter import harness, odometers
     from rdpmeter.core import default_order_set
     from rdpmeter.mechanisms import GaussianMechanism
@@ -91,8 +95,11 @@ def test_every_odometer_step_goes_through_spend(monkeypatch):
     original = odometers.spend
 
     def counted(state, request):
-        calls.append(1)
-        return original(state, request)
+        # 1 for a spend a window counted without per-order work, else 0
+        pending = state._pending
+        original(state, request)
+        calls.append(int(state._pending > pending))
+        return state
 
     monkeypatch.setattr(odometers, "spend", counted)
     monkeypatch.setattr(harness, "spend", counted)
@@ -109,6 +116,6 @@ def test_every_odometer_step_goes_through_spend(monkeypatch):
         ),
     )
     log = harness.run_session(config)
-    assert len(calls) == 250
+    assert len(calls) == 250 and sum(calls) > 0
     harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
-    assert len(calls) == 500
+    assert len(calls) == 500 and sum(calls[250:]) == sum(calls[:250])
