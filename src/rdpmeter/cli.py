@@ -326,6 +326,86 @@ def _declared_total(script: AdversaryScript, orders: OrderSet) -> list[float]:
 # ------------------------------------------------------------------ parser
 
 
+# the add_argument keywords a _FlagTable models, for a store_true flag
+# and for a flag that takes a value
+_FLAG_KEYS = frozenset({"action", "required", "default", "help"})
+_VALUE_KEYS = frozenset({"type", "choices", "required", "default", "help"})
+
+
+class _FlagTable(dict):
+    """A command's flags, recorded by its flag function in place of a
+    parser: option string -> (dest, type, choices, required, default),
+    with type None for a store_true flag and str for a value of no type.
+
+    parse() reads a well-formed argv into the namespace argparse would
+    build and returns None for anything else, so that argparse, which
+    writes every help text and usage error, decides it. A keyword whose
+    argparse meaning the table does not model is a TypeError here, not
+    a parse that differs from argparse's."""
+
+    def add_argument(self, name: str, **spec) -> None:
+        flag = spec.get("action") == "store_true"
+        dest = name.lstrip("-").replace("-", "_")
+        if (
+            not spec.keys() <= (_FLAG_KEYS if flag else _VALUE_KEYS)
+            or not name.startswith("--")
+            or dest in [entry[0] for entry in self.values()]
+        ):
+            raise TypeError(
+                f"the flag table does not model add_argument({name!r}, "
+                + ", ".join(f"{k}={v!r}" for k, v in spec.items())
+                + ")"
+            )
+        kind = spec.get("type")
+        default = spec.get("default", False if flag else None)
+        if kind is not None and isinstance(default, str):
+            # argparse converts a string default when the flag is not given
+            default = kind(default)
+        self[name] = (
+            dest,
+            None if flag else kind or str,
+            spec.get("choices"),
+            bool(spec.get("required")),
+            default,
+        )
+
+    def parse(self, argv: list[str]) -> Optional[argparse.Namespace]:
+        """argparse's namespace for argv when every token is a full flag
+        name, each valued flag is followed by a value that does not start
+        with "-" and passes its type and choices, and every required flag
+        is given; None otherwise."""
+        given = {}
+        tokens = iter(argv)
+        for token in tokens:
+            entry = self.get(token)
+            if entry is None:
+                return None
+            dest, kind, choices, _, _ = entry
+            if kind is None:
+                given[dest] = True
+                continue
+            # a missing value reads as "-", which is refused
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = kind(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            given[dest] = value
+        namespace = argparse.Namespace()
+        for dest, _, _, required, default in self.values():
+            if dest in given:
+                setattr(namespace, dest, given[dest])
+            elif required:
+                return None
+            else:
+                setattr(namespace, dest, default)
+        return namespace
+
+
 def _convert_flags(p) -> None:
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--delta", type=float, required=True)
@@ -407,8 +487,9 @@ def _selftest_flags(p) -> None:
 
 
 # Every command: its path of words, help line, flags and handler. A call
-# builds the parser of its own command only; the overview, built from the
-# same table, serves argv that names no command.
+# reads its flags from a _FlagTable of its own command and builds that
+# command's parser only when the table cannot decide; the overview, built
+# from the same table, serves argv that names no command.
 _COMMANDS = {
     ("convert",): (
         "convert a budget curve to a DP bound", _convert_flags, _cmd_convert
@@ -482,9 +563,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             # the overview accepts only argv that starts with a command path
             raise AssertionError(f"no command matched {argv!r}")
         _, add_flags, handler = _COMMANDS[path]
-        parser = _Parser(prog="rdpmeter " + " ".join(path))
-        add_flags(parser)
-        return handler(parser.parse_args(argv[len(path):]))
+        table = _FlagTable()
+        add_flags(table)
+        args = table.parse(argv[len(path):])
+        if args is None:
+            parser = _Parser(prog="rdpmeter " + " ".join(path))
+            add_flags(parser)
+            args = parser.parse_args(argv[len(path):])
+        return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

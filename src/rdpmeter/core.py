@@ -214,8 +214,8 @@ def dp_target_to_rdp_budget(
     set stays stable across the pipeline. If every order clamps to 0 the
     target is unreachable at these orders and a warning is emitted.
     """
-    if eps_dp <= 0.0:
-        raise ValueError(f"eps_dp must be > 0, got {eps_dp}")
+    if not (math.isfinite(eps_dp) and eps_dp > 0.0):
+        raise ValueError(f"eps_dp must be a finite number > 0, got {eps_dp}")
     _check_delta(delta)
     log_term = math.log(1.0 / delta)
     budgets = []

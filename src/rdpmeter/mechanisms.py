@@ -36,6 +36,17 @@ class GaussianMechanism:
             raise ValueError(
                 f"sensitivity must be finite and > 0, got {self.sensitivity}"
             )
+        # the curve's scale: 2*sigma^2 may underflow to 0, or the quotient
+        # pass the float range
+        try:
+            scale = _gaussian_scale(self)
+        except ArithmeticError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(
+                f"sigma {self.sigma} is too small for sensitivity "
+                f"{self.sensitivity}: the curve's scale leaves the float range"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,9 +117,13 @@ class RawCurve:
 Mechanism = Union[GaussianMechanism, DiscreteMechanism, RawCurve]
 
 
+def _gaussian_scale(mech: GaussianMechanism) -> float:
+    return mech.sensitivity * mech.sensitivity / (2.0 * mech.sigma * mech.sigma)
+
+
 def gaussian_rdp_curve(mech: GaussianMechanism, orders: OrderSet) -> RdpCurve:
     """Budget curve alpha * sensitivity^2 / (2 sigma^2) at each order."""
-    scale = mech.sensitivity * mech.sensitivity / (2.0 * mech.sigma * mech.sigma)
+    scale = _gaussian_scale(mech)
     return RdpCurve(orders, tuple(alpha * scale for alpha in orders))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rdpmeter
-from rdpmeter.cli import main
+from rdpmeter.cli import _COMMANDS, _FlagTable, _Parser, main
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
 from rdpmeter.harness import SessionLog, export, reconstruct
 from rdpmeter.mechanisms import (
@@ -297,6 +297,44 @@ class TestFilterCommand:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "too small" in err
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "0"])
+    def test_dp_target_that_is_not_a_finite_number_above_zero_is_an_error(
+        self, files, capsys, target
+    ):
+        # NaN once gave an all-zero cap and a header that is not valid JSON
+        code, out, err = run(
+            [
+                "filter",
+                "--schedule", files["sched.json"],
+                "--dp-target", target,
+                "--delta", "1e-5",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: eps_dp must be a finite number > 0, got {float(target)}\n"
+        )
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+    def test_gaussian_whose_curve_leaves_the_float_range_is_an_error(
+        self, files, capsys, sigma
+    ):
+        path = os.path.join(files["tmp"], "tiny-sigma.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"steps": [{"mech": {"kind": "gaussian", "sigma": sigma}, "count": 1}]},
+                handle,
+            )
+        code, out, err = run(
+            ["filter", "--schedule", path, "--dp-target", "2", "--delta", "1e-5"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: sigma {sigma} is too small") and (
+            err.count("\n") == 1
+        )
 
     def test_needs_exactly_one_budget_flag(self, files, capsys):
         code, _, err = run(
@@ -625,25 +663,56 @@ COMMAND_PATHS = [
     ("oracle", "gaussian-check"),
     ("oracle", "selftest"),
 ]
-# cheap calls: a usage error for a missing flag, `orders`, or a selftest
-# refused for its count
-CHEAP_FLAGS = {("oracle", "selftest"): ["--count", "0"]}
+
+
+def _count_parsers(monkeypatch) -> list:
+    """The prog of every argparse parser built from here on."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return progs
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("tail", [["--bogus"], ["-h"]], ids=" ".join)
     @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
-    def test_a_command_builds_only_its_own_parser(self, monkeypatch, capsys, path):
-        progs = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            progs.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, _, _ = run(list(path) + CHEAP_FLAGS.get(path, []), capsys)
-        assert code in (0, 1)
+    def test_a_usage_error_or_help_builds_only_its_own_parser(
+        self, monkeypatch, capsys, path, tail
+    ):
+        # the flag table cannot decide either, so argparse writes them
+        progs = _count_parsers(monkeypatch)
+        try:
+            code = main(list(path) + tail)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == (0 if tail == ["-h"] else 1)
         assert progs == ["rdpmeter " + " ".join(path)]
+
+    @pytest.mark.parametrize(
+        "case", ["orders", "selftest of no script", "one-step filter session"]
+    )
+    def test_a_well_formed_call_builds_no_parser(
+        self, monkeypatch, capsys, files, case
+    ):
+        out = os.path.join(files["tmp"], "session.jsonl")
+        argv, want = {
+            "orders": (["orders"], 0),
+            # refused by its handler, not by a parser
+            "selftest of no script": (["oracle", "selftest", "--count", "0"], 1),
+            "one-step filter session": (
+                ["filter", "--schedule", files["sched.json"], "--cap",
+                 files["cap.json"], "--delta", "1e-5", "--out", out],
+                0,
+            ),
+        }[case]
+        progs = _count_parsers(monkeypatch)
+        assert main(argv) == want
+        assert progs == []
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["oracle"]], ids=repr)
     def test_argv_naming_no_command_is_a_usage_error(self, capsys, argv):
@@ -921,3 +990,160 @@ def test_any_argv_exits_with_a_code_or_one_line(argv):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+def _table(add_flags) -> _FlagTable:
+    table = _FlagTable()
+    add_flags(table)
+    return table
+
+
+def _argparse_namespace(add_flags, argv) -> argparse.Namespace:
+    """What argparse reads argv as; a usage error raises."""
+    parser = _Parser(prog="rdpmeter")
+    add_flags(parser)
+    return parser.parse_args(argv)
+
+
+def _exact(namespace) -> str:
+    # repr tells NaN, and 1 from 1.0 from True, apart
+    return repr(sorted(vars(namespace).items()))
+
+
+# values each type reads, and values that a parse could read unlike
+# argparse: a sign, blanks, an underscore, option-like strings, a bad
+# choice or number
+FITTING = {
+    int: ["0", "2", "1_0", " 3 "],
+    float: ["0", "1e-5", "nan", "1e999", " 3 "],
+    str: ["x.json", "a=b", ""],
+}
+ODD_VALUES = ["-1", "-0", "", "--", "-h", "--out=x", "xml", "0x1", "1.5"]
+ABBREVIATIONS = ["--del", "--sched", "--dp", "--orders", "--se", "--sig", "--c"]
+OTHER_FLAGS = ["-h", "--help", "--bogus", "--out=x", "--delta=1", "--"]
+
+
+@st.composite
+def command_argvs(draw):
+    path = draw(st.sampled_from(COMMAND_PATHS))
+    table = _table(_COMMANDS[path][1])
+
+    def flag(name):
+        _, kind, choices, _, _ = table[name]
+        if kind is None:
+            return [name]
+        values = (choices or FITTING[kind]) * 4 + ODD_VALUES
+        return [name, draw(st.sampled_from(values))]
+
+    # mostly the command's own flags, each with a value that fits more
+    # often than not; some flags missing their value, some of no command
+    items = [
+        flag(draw(st.sampled_from(sorted(table)))) if i < 8
+        else [draw(st.sampled_from(sorted(table)))] if i == 8
+        else [draw(st.sampled_from(ABBREVIATIONS + OTHER_FLAGS))]
+        for i in draw(st.lists(st.integers(0, 9), max_size=4))
+    ]
+    # most argvs give every required flag, so the table decides many
+    if draw(st.integers(0, 3)):
+        items += [flag(name) for name, entry in table.items() if entry[3]]
+    return path, [token for item in draw(st.permutations(items)) for token in item]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=command_argvs())
+def test_the_flag_table_reads_an_argv_as_argparse_does(case):
+    path, argv = case
+    add_flags = _COMMANDS[path][1]
+    namespace = _table(add_flags).parse(argv)
+    if namespace is not None:
+        assert _exact(namespace) == _exact(_argparse_namespace(add_flags, argv))
+
+
+WELL_FORMED = {
+    ("convert",): ["--curve", "c.json", "--delta", "1e-5"],
+    ("orders",): ["--granularity", "1_6", "--out", "o.json"],
+    ("filter",): ["--schedule", "s.json", "--dp-target", "nan", "--delta",
+                  "1e-5", "--sealed", "--format", "csv", "--sealed"],
+    ("odometer",): ["--script", "s.json", "--delta", " 1e-5 ", "--seed", "3"],
+    ("replay",): ["--schedule", "s.json", "--format", "csv", "--format", "jsonl"],
+    ("policy",): ["--base", "b.json", "--signal", "", "--policy", "a=b"],
+    ("oracle", "verify-filter"): ["--script", "s.json", "--cap", "c.json"],
+    ("oracle", "verify-truncated"): ["--script", "s.json", "--delta", "0.05",
+                                     "--f", "2"],
+    ("oracle", "gaussian-check"): ["--sigma", "1e999", "--tol", "1e-3"],
+    ("oracle", "selftest"): ["--count", "3", "--seed", "1", "--count", "4"],
+}
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_the_flag_table_decides_a_well_formed_argv(path):
+    add_flags = _COMMANDS[path][1]
+    namespace = _table(add_flags).parse(WELL_FORMED[path])
+    assert namespace is not None
+    # unsorted: the attributes come in argparse's order too
+    assert repr(vars(namespace)) == repr(
+        vars(_argparse_namespace(add_flags, WELL_FORMED[path]))
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--schedule", "s.json", "--dp-target", "2"],  # no --delta
+        WELL_FORMED[("filter",)] + ["-h"],
+        WELL_FORMED[("filter",)] + ["--help"],
+        WELL_FORMED[("filter",)] + ["--del", "1"],
+        WELL_FORMED[("filter",)] + ["--delta=1"],
+        WELL_FORMED[("filter",)] + ["--bogus", "1"],
+        WELL_FORMED[("filter",)] + ["--delta", "-1"],
+        WELL_FORMED[("filter",)] + ["--delta", "--"],
+        WELL_FORMED[("filter",)] + ["--delta", "x"],
+        WELL_FORMED[("filter",)] + ["--seed", "1.5"],
+        WELL_FORMED[("filter",)] + ["--format", "xml"],
+        WELL_FORMED[("filter",)] + ["--sealed", "x"],
+        WELL_FORMED[("filter",)] + ["--out"],
+        WELL_FORMED[("filter",)] + ["--"],
+    ],
+    ids=lambda argv: " ".join(argv[-2:]),
+)
+def test_the_flag_table_leaves_what_it_cannot_decide_to_argparse(argv):
+    assert _table(_COMMANDS[("filter",)][1]).parse(argv) is None
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("--n", {"nargs": 2}),
+        ("--n", {"dest": "m"}),
+        ("--n", {"const": 1}),
+        ("--n", {"metavar": "N"}),
+        ("--n", {"action": "store_false"}),
+        ("--n", {"action": "append"}),
+        ("--n", {"action": "store_true", "type": int}),
+        ("--n", {"action": "store_true", "choices": [True]}),
+        ("-n", {}),
+        ("--seed", {}),
+        ("--dp_target", {}),
+    ],
+    ids=repr,
+)
+def test_the_flag_table_refuses_what_it_does_not_model(name, spec):
+    # a flag argparse would read differently fails where it is defined
+    table = _FlagTable()
+    table.add_argument("--seed")
+    table.add_argument("--dp-target")
+    with pytest.raises(TypeError, match="does not model"):
+        table.add_argument(name, **spec)
+
+
+def test_the_flag_table_converts_a_string_default_as_argparse_does():
+    def flags(p):
+        p.add_argument("--n", type=int, default="1_0")
+        p.add_argument("--x", type=float, default="nan")
+        p.add_argument("--name", default="jsonl", choices=["csv"])
+        p.add_argument("--on", action="store_true", default=None)
+
+    for argv in ([], ["--n", "3", "--on"]):
+        assert _exact(_table(flags).parse(argv)) == _exact(
+            _argparse_namespace(flags, argv)
+        )

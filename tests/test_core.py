@@ -412,6 +412,13 @@ def test_dp_target_validates_inputs():
         dp_target_to_rdp_budget(1.0, 0.0, OrderSet([2.0]))
 
 
+@pytest.mark.parametrize("eps_dp", [math.nan, math.inf, -math.inf, -1.0])
+def test_dp_target_must_be_a_finite_number_above_zero(eps_dp):
+    # NaN compared false against every bound, so its cap was all zeros
+    with pytest.raises(ValueError, match="eps_dp must be a finite number > 0"):
+        dp_target_to_rdp_budget(eps_dp, 1e-5, OrderSet([2.0, 4.0]))
+
+
 def test_dp_target_rejects_a_delta_whose_log_overflows():
     # 1/1e-320 is not finite; the budget would silently clamp to zero
     with pytest.raises(ValueError, match="too small"):

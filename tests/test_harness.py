@@ -510,6 +510,23 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="dp_target"):
             reconstruct(log)
 
+    def test_header_whose_dp_target_is_nan_is_rejected(self):
+        # a NaN target once yielded an all-zero cap that denies every
+        # request, and the log of that session replayed
+        config = SessionConfig(
+            mode=FILTER,
+            orders=ORDERS24,
+            delta=1e-5,
+            seed=0,
+            source=gaussian_schedule(2, sigma=100.0),
+            cap=RdpCurve(ORDERS24, (0.0, 0.0)),
+        )
+        log = run_session(config)
+        reconstruct(log)
+        log.header["dp_target"] = math.nan
+        with pytest.raises(ValueError, match="eps_dp must be a finite number"):
+            reconstruct(log)
+
     def test_log_cut_after_a_record_still_replays(self):
         for mode, cap in ((FILTER, _req(1.0)), (ODOMETER, None)):
             config = SessionConfig(

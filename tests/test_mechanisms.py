@@ -47,6 +47,22 @@ def test_gaussian_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize(
+    "sigma, sensitivity", [(1e-300, 1.0), (1e-160, 1.0), (1.0, 1e200)]
+)
+def test_gaussian_whose_curve_leaves_the_float_range_is_refused(sigma, sensitivity):
+    # 2*sigma^2 underflows to 0 at 1e-300; sensitivity^2/(2*sigma^2) passes
+    # the float range at 1e-160 and at a sensitivity of 1e200
+    with pytest.raises(ValueError, match=f"^sigma {sigma} is too small"):
+        GaussianMechanism(sigma, sensitivity=sensitivity)
+    with pytest.raises(ValueError, match=f"^sigma {sigma} is too small"):
+        mechanism_from_json(
+            {"kind": "gaussian", "sigma": sigma, "sensitivity": sensitivity}
+        )
+    # a sigma so large that the scale underflows to 0 still builds
+    assert gaussian_rdp_curve(GaussianMechanism(1e200), SMALL_ORDERS).is_zero()
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"sigma": True}, "sigma must be a number, got True"),
