@@ -12,17 +12,9 @@ smaller requests may still be granted. Callers wanting a terminal filter
 can construct it with sealed=True, which denies everything after the
 first PASS.
 
-A repeated request costs no per-order work, whether denied or granted.
-A decision is a pure function of (spent, request, cap), and curves are
-frozen. A PASS changes none of the three, so the state remembers the
-request object it last denied and the cap it was denied under, and the
-same two objects, asked again before any GRANT, are denied at once. A
-GRANT of the request object granted last, under the same cap object,
-opens a certified window: how many more sends of that object certainly
-fit at some order (`_certified_repeats`). Those sends are granted and
-only counted; the count is added at every order when the totals are
-next read (`_Totals`). Both shortcuts give the decisions, and the totals
-bit for bit, that the full test gives.
+A repeated request costs no per-order work, whether denied or granted:
+the state keeps one window on the request object last decided in full
+(see `_Totals`).
 
 This module also holds the window machinery the odometer shares: the
 certified count, with the proof that it is sound, and the deferred sums.
@@ -81,15 +73,32 @@ def _certified_repeats(
 
 
 class _Totals:
-    """Per-order running totals that defer a certified window's sums.
+    """Per-order running totals, with the window both accountants keep on
+    a repeated request.
 
-    _totals holds the sums added so far. _pending counts sends of the
-    request object _last that a window certified and that are not added
-    yet, and _safe how many more sends the window still certifies.
-    Reading _spent first adds the pending sends, per order, as _pending
-    sequential `s += r`: the same float additions in the same order as
-    one new list per send, so every read gives the totals bit for bit.
+    A training loop sends one request curve object many times in a row.
+    _last is the request object last decided in full, and _safe how many
+    more sends of it the window certifies: a send of _last while _safe >
+    0 is only counted, in _pending, with no per-order work. A filter's
+    window also needs the same cap object (_last_cap), and its _safe is
+    -1 after a PASS: a decision is a pure function of (spent, request,
+    cap), curves are frozen and a PASS changes none of the three, so the
+    same send is PASSed again in O(1). Any other send is decided in full
+    and may open a new window (`_certified_repeats` gives its length).
+
+    _totals holds the sums added so far. Reading _spent first adds the
+    pending sends, per order, as _pending sequential `s += r`: the same
+    float additions in the same order as one new list per send, so every
+    read gives the totals bit for bit.
     """
+
+    _last: Optional[RdpCurve] = None
+    _safe = 0
+    _pending = 0
+
+    @property
+    def spent(self) -> RdpCurve:
+        return RdpCurve(self.orders, tuple(self._spent))
 
     @property
     def _spent(self) -> list[float]:
@@ -126,26 +135,16 @@ class FilterState(_Totals):
     """Single-owner mutable accountant; try_spend calls must be serialized.
 
     Holds only what decisions depend on; the session log is the per-query
-    record. _denied and _denied_cap are the request object last PASSed and
-    the cap object it was PASSed under, kept until the next GRANT, so a
-    repeat of that denial is answered in O(1). _last and _last_cap are
-    the request object last granted and its cap object; while _safe > 0,
-    a send of the two is a certified GRANT (see try_spend). _spent is
-    read through `_Totals`, so a state with pending sends compares equal
-    to, and prints like, the state that added them.
+    record. The repeat window (see `_Totals`) is not a field, so a state
+    compares equal to, and prints like, one that decided every send in
+    full: _spent reads the totals with the pending sends added.
     """
 
     cap: RdpCurve
     sealed: bool = False
     _spent: list[float] = field(init=False)
     _passed_once: bool = field(init=False, default=False)
-    _denied: Optional[RdpCurve] = field(init=False, default=None, compare=False)
-    _denied_cap: Optional[RdpCurve] = field(init=False, default=None, compare=False)
-    # the window (see try_spend); repr and == read _spent instead
-    _last: Optional[RdpCurve] = field(init=False, default=None, compare=False, repr=False)
-    _last_cap: Optional[RdpCurve] = field(init=False, default=None, compare=False, repr=False)
-    _safe: int = field(init=False, default=0, compare=False, repr=False)
-    _pending: int = field(init=False, default=0, compare=False, repr=False)
+    _last_cap = None  # not a field: see `_Totals`
 
     def __post_init__(self):
         self._totals = [0.0] * len(self.cap.orders)
@@ -153,10 +152,6 @@ class FilterState(_Totals):
     @property
     def orders(self) -> OrderSet:
         return self.cap.orders
-
-    @property
-    def spent(self) -> RdpCurve:
-        return RdpCurve(self.cap.orders, tuple(self._spent))
 
 
 def new_filter(cap: RdpCurve, sealed: bool = False) -> FilterState:
@@ -176,47 +171,45 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
 
     PASS exactly when spent + request > cap at every order; the
     comparison is strict, so a request landing exactly on the cap is
-    granted. Decisions are a pure function of (spent, request, cap);
-    PASS leaves spent bit-identical: the new totals are kept only on
-    GRANT. So the request object last PASSed, sent again under the same
-    cap object with no GRANT between, is PASSed in O(1), after the
-    order-set and sealed checks.
-
-    A GRANT of the request object last granted, under the same cap
-    object, opens a window of n further sends of it, n the max over
-    orders of floor((cap * (1 - 2**-29) - spent) / request) (see
-    `_certified_repeats`); a PASS, another request or cap object, or the
-    window's end closes it. A send inside the window is granted in O(1)
-    and its sum deferred (see `_Totals`).
+    granted. PASS leaves spent bit-identical: the new totals are kept
+    only on GRANT. A repeat of the request last decided, under the same
+    cap object, is answered in O(1) while its window lasts (see
+    `_Totals`). A GRANT of the request object last granted opens a
+    window of n further GRANTs, n the max over orders of floor((cap *
+    (1 - 2**-29) - spent) / request) (see `_certified_repeats`); a PASS
+    opens an unbounded window of PASSes. Another request or cap object
+    ends a window.
     """
-    if request is state._last and state._safe and state.cap is state._last_cap:
-        # _last passed the order-set check under this cap, and a PASS,
-        # sealed or not, closes the window
-        state._safe -= 1
-        state._pending += 1
-        return Decision.GRANT
+    if request is state._last and state.cap is state._last_cap:
+        # _last passed the order-set and sealed checks under this cap
+        safe = state._safe
+        if safe > 0:
+            state._safe = safe - 1
+            state._pending += 1
+            return Decision.GRANT
+        if safe < 0:
+            return Decision.PASS
     cap = state.cap
     if request.orders is not cap.orders and request.orders.orders != cap.orders.orders:
         raise ValueError("request curve is defined over a different order set")
     if state.sealed and state._passed_once:
         return Decision.PASS
-    if request is state._denied and cap is state._denied_cap:
-        return Decision.PASS
     new_spent = list(map(operator.add, state._spent, request.values))
     if any(map(operator.le, new_spent, cap.values)):
         state._totals = new_spent
-        state._denied = None
         if request is state._last and cap is state._last_cap:
+            # here _safe == 0: a negative count would have PASSed above
             state._safe = _certified_repeats(new_spent, request.values, cap.values, max)
         else:
             state._last = request
             state._last_cap = cap
             state._safe = 0
         return Decision.GRANT
+    # reading _spent above added any pending sends of the old _last
     state._passed_once = True
-    state._denied = request
-    state._denied_cap = cap
-    state._safe = 0
+    state._last = request
+    state._last_cap = cap
+    state._safe = -1
     return Decision.PASS
 
 

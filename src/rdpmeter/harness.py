@@ -467,6 +467,12 @@ def _same(logged, expected) -> bool:
     return (dict not in types and list not in types) or all(map(_same, logged, expected))
 
 
+# the keys a writer puts in each kind's header
+_HEADER_KEYS = {
+    FILTER: {"format", "kind", "delta", "orders", "seed", "cap", "dp_target", "sealed"},
+    ODOMETER: {"format", "kind", "delta", "orders", "seed", "bound"},
+}
+
 # how the replay names a diverging key whose value is too long to print
 _DIVERGES = {"f_per_alpha": "filter indices diverge", "bound": "running bound diverges"}
 
@@ -496,28 +502,40 @@ def _replay(
     def read_orders(listed) -> OrderSet:
         return _read_order_list(listed, order_sets)[0]
 
+    if kind not in (FILTER, ODOMETER):
+        raise ValueError(f"unknown session kind {kind!r}")
+    extra = header.keys() - _HEADER_KEYS[kind]
+    if extra:
+        raise ValueError(
+            f"{kind} header has keys the writer never writes: {sorted(extra)}"
+        )
+    seed = _read("header", header, "seed")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValueError(f"header seed must be an integer in [0, 2**64), got {seed!r}")
+    delta = _as_number(_read("header", header, "delta"), "header delta")
+    try:
+        _check_delta(delta)
+    except ValueError as exc:
+        raise ValueError(f"header {exc}") from None
+    orders = _read("header", header, "orders", read_orders)
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
-        delta = _as_number(_read("header", header, "delta"), "header delta")
+        if cap.orders is not orders and cap.orders.orders != orders.orders:
+            raise ValueError("header orders are not the cap's orders")
         if "dp_target" in header and cap != new_filter_from_dp_target(
             _as_number(_read("header", header, "dp_target"), "header dp_target"),
             delta,
-            _read("header", header, "orders", read_orders),
+            orders,
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
         sealed = header.get("sealed", False)
         if type(sealed) is not bool:
             raise ValueError(f"header sealed must be true or false, got {sealed!r}")
         state = new_filter(cap, sealed=sealed)
-    elif kind == ODOMETER:
-        state = new_odometer(
-            _as_number(_read("header", header, "delta"), "header delta"),
-            _read("header", header, "orders", read_orders),
-        )
+    else:
+        state = new_odometer(delta, orders)
         if not _same(header.get("bound"), _bound_to_json(running_bound(state))):
             raise ValueError("header bound is not a fresh odometer's bound")
-    else:
-        raise ValueError(f"unknown session kind {kind!r}")
     yield header, state
     advance = _stepper(state)
     request = data = None  # the last request read, as a curve and as data
@@ -546,12 +564,17 @@ def _replay(
             bools_equal = 0.0 in request.values or 1.0 in request.values
         elif not elided and bools_equal:
             _read(where, record, "request", read_curve)
-        for key, expected in advance(request).items():
+        tail = advance(request)
+        for key, expected in tail.items():
             logged = _read(where, record, key)
             if not _same(logged, expected):
                 raise ValueError(f"event {i}: " + _DIVERGES.get(
                     key, f"log says {logged}, replay decides {expected}"
                 ))
+        # i and the tail were read, so any other length means a key more
+        if len(record) != len(tail) + 2 - elided:
+            extra = sorted(record.keys() - {"i", "request", *tail})
+            raise ValueError(f"{where} has keys the writer never writes: {extra}")
         yield record, state
 
 
@@ -559,14 +582,16 @@ def reconstruct(log: SessionLog) -> Union[FilterState, OdometerState]:
     """Rebuild the final accountant state by re-executing the log.
 
     The header must agree with a fresh accountant (a filter's cap with its
-    dp_target, an odometer's bound with its orders and delta) and be typed
-    as the writer writes it (delta and dp_target JSON numbers, sealed, if
+    orders and dp_target, an odometer's bound with its orders and delta)
+    and be typed as the writer writes it (delta and dp_target JSON
+    numbers, delta in (0, 1), seed an int in [0, 2**64), sealed, if
     there, true or false), each record must carry its position as "i",
     and recorded decisions, filter indices, and bounds are cross-checked
     against the re-execution; any disagreement, and any line that is not
-    an object with the keys its kind needs, raises ValueError. A format 2 record without a request
-    repeats the previous record's; a header "format" other than 2 is
-    rejected. A log cut after a whole record still replays.
+    an object with exactly the keys its kind's writer writes, raises
+    ValueError. A format 2 record without a request repeats the previous
+    record's; a header "format" other than 2 is rejected. A log cut after
+    a whole record still replays.
     """
     for _, state in _replay(log):
         pass

@@ -122,9 +122,17 @@ def _gaussian_scale(mech: GaussianMechanism) -> float:
 
 
 def gaussian_rdp_curve(mech: GaussianMechanism, orders: OrderSet) -> RdpCurve:
-    """Budget curve alpha * sensitivity^2 / (2 sigma^2) at each order."""
+    """Budget curve alpha * sensitivity^2 / (2 sigma^2) at each order. A
+    curve that passes the float range at some order is refused."""
     scale = _gaussian_scale(mech)
-    return RdpCurve(orders, tuple(alpha * scale for alpha in orders))
+    values = tuple([alpha * scale for alpha in orders])
+    if values[-1] == math.inf:  # orders ascend: the last value is the largest
+        alpha = orders.orders[values.index(math.inf)]
+        raise ValueError(
+            f"sigma {mech.sigma} is too small for sensitivity {mech.sensitivity}: "
+            f"the curve leaves the float range at order {alpha}"
+        )
+    return RdpCurve(orders, values)
 
 
 def discrete_rdp_curve(mech: DiscreteMechanism, orders: OrderSet) -> RdpCurve:

@@ -23,18 +23,16 @@ returns the kept object, the same one until a rung moves.
 
 A training run also sends one request curve many times in a row. When a
 spend repeats the request object of the spend before it, `spend` counts,
-once, how many further spends of that object certainly climb no rung
-(`filters._certified_repeats`, the window the filter also uses). Those
-spends are only counted: no climb test, no per-order work. The count is
-added at every order when the totals are next read (`filters._Totals`),
-as the same float additions in the same order, so totals, rungs and
-bounds are bit for bit the ones the full path gives.
+once, how many further spends of that object certainly climb no rung.
+Those spends are only counted, in the window the filter also keeps
+(`filters._Totals`), so totals, rungs and bounds are bit for bit the
+ones the full path gives.
 """
 
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve, _check_delta
 from rdpmeter.filters import _certified_repeats, _Totals
@@ -110,12 +108,8 @@ class OdometerState(_Totals):
     Unlike a filter, an odometer never refuses: every request is added
     unconditionally and the running bound grows to cover it. Holds only
     spent, the rung per order, each order's current level, the running
-    bound and the step count; the session log is the per-query record.
-    _last and _safe are the request object of the last spend and how many
-    more spends of it are certified to climb no rung, and _pending how
-    many certified spends are counted but not yet added; _spent reads the
-    totals with them added (see spend and `filters._Totals`). `spend` is
-    the only writer.
+    bound and the step count, plus the repeat window (`filters._Totals`);
+    the session log is the per-query record. `spend` is the only writer.
     """
 
     def __init__(self, schedule: FilterSchedule):
@@ -125,17 +119,10 @@ class OdometerState(_Totals):
         self._levels = list(schedule._base)  # level(1, alpha) is the base
         self._bound = _bound(schedule, self._f)
         self.step = 0
-        self._last: Optional[RdpCurve] = None
-        self._safe = 0
-        self._pending = 0
 
     @property
     def orders(self) -> OrderSet:
         return self.schedule.orders
-
-    @property
-    def spent(self) -> RdpCurve:
-        return RdpCurve(self.schedule.orders, tuple(self._spent))
 
 
 def new_odometer(delta: float, orders: OrderSet) -> OdometerState:
@@ -148,8 +135,8 @@ def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
 
     An order climbs when its new total passes its level. A full spend of
     the same request object as the spend before it also opens a window:
-    the next n spends of that object are counted, in O(1), and added
-    later (see `filters._Totals`). n is the min over orders of
+    the next n spends of that object are counted in O(1) (see
+    `filters._Totals`). n is the min over orders of
     floor((L * (1 - 2**-29) - s) / r), clamped to [0, 2**20], where s is
     the new total and L the level after any climb; no total in the
     window passes its level (see `filters._certified_repeats`), so none

@@ -336,6 +336,26 @@ class TestFilterCommand:
             err.count("\n") == 1
         )
 
+    def test_gaussian_whose_curve_leaves_the_float_range_at_an_order_is_an_error(
+        self, files, capsys
+    ):
+        # the scale is finite; order 3.75 of the default set passes the range
+        path = os.path.join(files["tmp"], "small-sigma.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"steps": [{"mech": {"kind": "gaussian", "sigma": 1e-154}, "count": 1}]},
+                handle,
+            )
+        code, out, err = run(
+            ["filter", "--schedule", path, "--dp-target", "2", "--delta", "1e-5"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: sigma 1e-154 is too small for sensitivity 1.0: "
+            "the curve leaves the float range at order 3.75\n"
+        )
+
     def test_needs_exactly_one_budget_flag(self, files, capsys):
         code, _, err = run(
             [
@@ -608,6 +628,14 @@ class TestOracleCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sigma_whose_curve_leaves_the_float_range_names_the_order(self, capsys):
+        code, out, err = run(["oracle", "gaussian-check", "--sigma", "1e-154"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: sigma 1e-154 is too small for sensitivity 1.0: "
+            "the curve leaves the float range at order 3.75\n"
+        )
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(

@@ -24,6 +24,9 @@ from rdpmeter.harness import (
 )
 from rdpmeter.mechanisms import RawCurve
 
+GRANT, PASS = Decision.GRANT, Decision.PASS
+
+
 def curve(**kv):
     return RdpCurve.from_mapping({float(k[1:]): v for k, v in kv.items()})
 
@@ -89,25 +92,31 @@ def test_order_set_mismatch_rejected():
 def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
     orders = OrderSet([2.0, 32.0])
     f = new_filter(RdpCurve(orders, (1.0, 1.0)))
-    try_spend(f, RdpCurve(orders, (0.5, 0.25)))
+    granted = RdpCurve(orders, (0.25, 0.125))
+    for _ in range(3):  # the second GRANT opens a window, the third is in it
+        assert try_spend(f, granted) is Decision.GRANT
     if passed_once:
         assert try_spend(f, RdpCurve(orders, (2.0, 2.0))) is Decision.PASS
 
     def snapshot():
+        # _totals, not spent: reading spent would add the pending send
         return (
-            [v.hex() for v in f.spent.values],
+            hexes(f._totals),
             f._passed_once,
-            id(f._denied),
-            id(f._denied_cap),
+            id(f._last),
+            id(f._last_cap),
+            f._safe,
+            f._pending,
         )
 
     before = snapshot()
+    assert before[4:] == ((-1, 0) if passed_once else (4, 1))
     with pytest.raises(ValueError, match="different order set"):
         try_spend(f, RdpCurve.from_mapping({2.0: 0.1, 4.0: 0.1}))
     assert snapshot() == before
     # the accountant still works after the refused call
     assert try_spend(f, RdpCurve(orders, (0.5, 0.0))) is Decision.GRANT
-    assert f.spent.values == (1.0, 0.25)
+    assert f.spent.values == (1.25, 0.375)
 
 
 def test_a_repeated_denial_does_no_per_order_work():
@@ -126,13 +135,16 @@ def test_a_repeated_denial_does_no_per_order_work():
 
 def test_a_grant_forgets_the_last_denial():
     f = new_filter(curve(a2=1.0))
-    small, large = curve(a2=0.25), curve(a2=0.9)
+    small, large = curve(a2=0.25), CountingCurve(f.orders, (0.9,))
     assert try_spend(f, small) is Decision.GRANT
     assert try_spend(f, large) is Decision.PASS
-    assert f._denied is large
-    assert try_spend(f, small) is Decision.GRANT
-    assert f._denied is None
+    reads = CountingCurve.reads
     assert try_spend(f, large) is Decision.PASS
+    assert CountingCurve.reads == reads
+    assert try_spend(f, small) is Decision.GRANT
+    # the GRANT of another object ended the window: tested in full
+    assert try_spend(f, large) is Decision.PASS
+    assert CountingCurve.reads > reads
     assert f.spent.value(2.0) == 0.5
 
 
@@ -277,6 +289,7 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
     sealed = data.draw(st.booleans())
     f, ref = new_filter(cap, sealed=sealed), new_filter(cap, sealed=sealed)
     sent = []
+    passed = None  # the request object the reference last PASSed
     budget = 3000  # sends per example
     for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
         if data.draw(st.integers(min_value=0, max_value=9)) == 0:
@@ -286,11 +299,16 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
             )
             cap = f.cap = ref.cap = RdpCurve(orders, values)
         if sent and data.draw(st.booleans()):
-            # the same object again: the last one, which repeats a PASS
-            # (the shortcut) or a GRANT (a window), or an earlier one,
-            # with other requests in between
-            last = data.draw(st.booleans())
-            request = sent[-1] if last else data.draw(st.sampled_from(sent))
+            # the same object again: the last one, which repeats a PASS or
+            # a GRANT (a window), the one last PASSed, whose window a GRANT
+            # of another object may have ended, or an earlier one
+            pick = data.draw(st.sampled_from(["last", "passed", "any"]))
+            if pick == "last":
+                request = sent[-1]
+            elif pick == "passed" and passed is not None:
+                request = passed
+            else:
+                request = data.draw(st.sampled_from(sent))
         else:
             values = [data.draw(_AMOUNTS) for _ in range(n_orders)]
             if data.draw(st.booleans()):
@@ -311,7 +329,10 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
         for k in range(run):
             if k == read_at:
                 assert read(f) == read(ref)
-            assert try_spend(f, request) is _reference_try_spend(ref, request)
+            decision = _reference_try_spend(ref, request)
+            assert try_spend(f, request) is decision
+            if decision is Decision.PASS:
+                passed = request
         assert hexes(f.spent.values) == hexes(ref.spent.values)
         assert f._passed_once == ref._passed_once
 
@@ -383,24 +404,86 @@ def test_pending_sends_compare_equal_and_print_like_added_ones():
 
 def test_a_new_cap_object_ends_the_window():
     f = new_filter(curve(a2=100.0))
-    request = curve(a2=1.0)
+    request = CountingCurve(f.orders, (1.0,))
     for _ in range(10):
         assert try_spend(f, request) is Decision.GRANT
-    assert f._safe > 0 and f._pending > 0
+    reads = CountingCurve.reads
     # the window was certified under the old cap; under the new one the
-    # next send no longer fits
+    # next send is tested in full and no longer fits
     f.cap = curve(a2=10.5)
     assert try_spend(f, request) is Decision.PASS
+    assert CountingCurve.reads > reads
     assert f.spent.values == (10.0,)
-    # a PASS of another object ends a window as well
+    # the PASS opened a window of PASSes, which a new cap object ends,
+    # an equal one too
+    reads = CountingCurve.reads
+    assert try_spend(f, request) is Decision.PASS
+    assert CountingCurve.reads == reads
+    f.cap = curve(a2=10.5)
+    assert try_spend(f, request) is Decision.PASS
+    assert CountingCurve.reads > reads
+    # a PASS of another object ends a window of GRANTs
     f.cap = curve(a2=100.0)
     for _ in range(10):
         try_spend(f, request)
-    assert f._safe > 0
     assert try_spend(f, curve(a2=500.0)) is Decision.PASS
-    assert f._safe == 0
+    reads = CountingCurve.reads
     assert try_spend(f, request) is Decision.GRANT
+    assert CountingCurve.reads > reads
     assert f.spent.values == (repeat_sum(0.0, 1.0, 21),)
+
+
+def _send(f, ref, request, times):
+    """Send request `times` times to f and to the reference ref; return
+    the decisions."""
+    decisions = []
+    for _ in range(times):
+        decisions.append(try_spend(f, request))
+        assert decisions[-1] is _reference_try_spend(ref, request)
+    assert hexes(f.spent.values) == hexes(ref.spent.values)
+    assert f._passed_once == ref._passed_once
+    return decisions
+
+
+def test_grant_a_pass_b_then_a_again_matches_the_reference():
+    cap = curve(a2=10.0, a4=10.0)
+    f, ref = new_filter(cap), new_filter(cap)
+    a, b = curve(a2=1.0, a4=0.5), curve(a2=20.0, a4=20.0)
+    assert _send(f, ref, a, 3) == [GRANT] * 3  # a window of GRANTs
+    assert _send(f, ref, b, 2) == [PASS] * 2
+    # a's window is gone; a is tested in full, then a new window runs to
+    # the cap at order 4
+    assert _send(f, ref, a, 20) == [GRANT] * 17 + [PASS] * 3
+    assert _send(f, ref, b, 1) == [PASS]
+    assert f.spent.values == (20.0, 10.0)
+
+
+def test_a_sealed_filters_repeated_pass_matches_the_reference():
+    cap = curve(a2=1.0)
+    f, ref = new_filter(cap, sealed=True), new_filter(cap, sealed=True)
+    small, large = curve(a2=0.25), curve(a2=0.9)
+    assert _send(f, ref, small, 2) == [GRANT] * 2
+    assert _send(f, ref, large, 3) == [PASS] * 3
+    # would fit, but the filter is sealed
+    assert _send(f, ref, small, 3) == [PASS] * 3
+    assert _send(f, ref, large, 2) == [PASS] * 2
+    assert f.spent.values == (0.5,)
+
+
+def test_a_cap_reassigned_after_a_pass_matches_the_reference():
+    orders = OrderSet([2.0, 4.0])
+    f, ref = new_filter(curve(a2=1.0, a4=1.0)), new_filter(curve(a2=1.0, a4=1.0))
+    request = RdpCurve(orders, (0.75, 1.5))
+    assert _send(f, ref, RdpCurve(orders, (0.5, 0.0)), 1) == [GRANT]
+    assert _send(f, ref, request, 2) == [PASS] * 2
+    f.cap = ref.cap = RdpCurve(orders, (1.25, 1.0))
+    assert _send(f, ref, request, 2) == [GRANT, PASS]
+    # the same cap object again keeps the window; a larger one ends it
+    f.cap = ref.cap = f.cap
+    assert _send(f, ref, request, 1) == [PASS]
+    f.cap = ref.cap = RdpCurve(orders, (5.0, 5.0))
+    assert _send(f, ref, request, 6) == [GRANT] * 5 + [PASS]
+    assert f.spent.values == (5.0, 9.0)
 
 
 def test_safety_under_ten_thousand_random_requests():

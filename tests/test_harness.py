@@ -547,8 +547,9 @@ class TestReconstruct:
             reconstruct(SessionLog.from_jsonl('{"kind": "ledger"}\n'))
 
     @staticmethod
-    def _records(mode):
-        # two sigmas, so both records carry their request
+    def _records(mode, cap=None):
+        # two sigmas, so both records carry their request; a filter
+        # without a cap has a dp_target
         config = SessionConfig(
             mode=mode,
             orders=ORDERS24,
@@ -557,7 +558,8 @@ class TestReconstruct:
             source=ScheduleReplay(
                 steps=tuple(ScheduleStep(GaussianMechanism(s)) for s in (100.0, 200.0))
             ),
-            dp_target=5.0 if mode == FILTER else None,
+            cap=cap,
+            dp_target=5.0 if mode == FILTER and cap is None else None,
         )
         return run_session(config).records
 
@@ -612,6 +614,105 @@ class TestReconstruct:
         self._rejected(
             records, "^header has a malformed 'orders': ValueError\\('orders must be a list"
         )
+
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            (FILTER, "bound", {"eps": 1.0, "alpha": 2.0, "f": 1}),
+            (FILTER, "note", "x"),
+            (ODOMETER, "cap", {"orders": [2.0, 4.0], "eps": [5.0, 10.0]}),
+            (ODOMETER, "dp_target", 5.0),
+            (ODOMETER, "sealed", False),
+        ],
+    )
+    def test_header_key_the_writer_never_writes_is_rejected(self, mode, key, value):
+        records = self._records(mode)
+        reconstruct(SessionLog.from_jsonl("".join(json.dumps(r) + "\n" for r in records)))
+        records[0][key] = value
+        self._rejected(records, f"^{mode} header has keys the writer never writes: \\['{key}'\\]$")
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "0", None])
+    def test_header_seed_outside_the_writers_range_is_rejected(self, mode, seed):
+        records = self._records(mode)
+        records[0]["seed"] = seed
+        self._rejected(
+            records, f"^header seed must be an integer in \\[0, 2\\*\\*64\\), got {seed!r}$"
+        )
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_header_without_a_seed_is_rejected(self, mode):
+        records = self._records(mode)
+        del records[0]["seed"]
+        self._rejected(records, "^header has no 'seed'$")
+
+    def test_header_seed_at_the_ends_of_its_range_replays(self):
+        for seed in (0, 2**64 - 1):
+            records = self._records(FILTER)
+            records[0]["seed"] = seed
+            text = "".join(json.dumps(r) + "\n" for r in records)
+            reconstruct(SessionLog.from_jsonl(text))
+
+    @pytest.mark.parametrize(
+        "mode, cap",
+        [(FILTER, None), (FILTER, RdpCurve(ORDERS24, (5.0, 10.0))), (ODOMETER, None)],
+        ids=["dp_target filter", "cap filter", "odometer"],
+    )
+    @pytest.mark.parametrize("delta", [5.0, 1.0, 0.0, 1e-320])
+    def test_header_delta_outside_the_unit_interval_is_rejected(self, mode, cap, delta):
+        records = self._records(mode, cap)
+        records[0]["delta"] = delta
+        self._rejected(records, f"^header delta (must lie in \\(0, 1\\), got|{delta} is too small)")
+
+    @pytest.mark.parametrize("orders", [[8.0], [2.0], [2.0, 4.0, 8.0]])
+    def test_cap_filter_header_orders_other_than_the_caps_are_rejected(self, orders):
+        records = self._records(FILTER, RdpCurve(ORDERS24, (5.0, 10.0)))
+        records[0]["orders"] = orders
+        self._rejected(records, "^header orders are not the cap's orders$")
+
+    def test_cap_filter_header_without_orders_is_rejected(self):
+        records = self._records(FILTER, RdpCurve(ORDERS24, (5.0, 10.0)))
+        del records[0]["orders"]
+        self._rejected(records, "^header has no 'orders'$")
+
+    def test_cap_filter_header_orders_listed_unsorted_replay(self):
+        # the writer lists sorted orders, but an order list means its set
+        records = self._records(FILTER, RdpCurve(ORDERS24, (5.0, 10.0)))
+        records[0]["orders"] = [4.0, 2.0]
+        reconstruct(SessionLog.from_jsonl("".join(json.dumps(r) + "\n" for r in records)))
+
+    def test_header_sealed_false_still_replays(self):
+        records = self._records(FILTER)
+        records[0]["sealed"] = False
+        reconstruct(SessionLog.from_jsonl("".join(json.dumps(r) + "\n" for r in records)))
+
+    @pytest.mark.parametrize("v1", [False, True], ids=["format 2", "format 1"])
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            (ODOMETER, "decision", "PASS"),
+            (FILTER, "bound", 1),
+            (FILTER, "f_per_alpha", {"2.0": 1, "4.0": 1}),
+            (ODOMETER, "note", None),
+        ],
+    )
+    def test_record_key_the_writer_never_writes_is_rejected(self, mode, key, value, v1):
+        records = self._records(mode)
+        if v1:
+            del records[0]["format"]
+        records[2][key] = value
+        self._rejected(records, f"^record 2 has keys the writer never writes: \\['{key}'\\]$")
+
+    def test_elided_request_record_with_another_key_is_rejected(self):
+        # format 2 leaves out the repeated request: the record is "i" and
+        # the tail, and one more key is still one too many
+        records = run_session(SessionConfig(
+            mode=FILTER, orders=ORDERS24, delta=1e-5, seed=0,
+            source=gaussian_schedule(1, sigma=100.0, count=3), dp_target=5.0,
+        )).records
+        assert "request" not in records[2]
+        records[2]["requests"] = records[1]["request"]
+        self._rejected(records, "^record 2 has keys the writer never writes: \\['requests'\\]$")
 
     @pytest.mark.parametrize(
         "mode, key",

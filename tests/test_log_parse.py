@@ -16,6 +16,7 @@ from rdpmeter.core import (
     OrderSet,
     RdpCurve,
     _as_number,
+    _check_delta,
     _read_curve,
     _read_order_list,
     default_order_set,
@@ -89,7 +90,8 @@ def reference_records(text: str) -> list:
 def reference_reconstruct(records: list):
     """One curve read per record that carries a request; "i" must be an
     int, and every tail value must equal the step's type-exactly. A
-    format 2 record without a request repeats the last one read."""
+    format 2 record without a request repeats the last one read. Header
+    and records may carry only the keys their kind's writer writes."""
     header = records[0]
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
@@ -105,28 +107,41 @@ def reference_reconstruct(records: list):
     def read_orders(listed) -> OrderSet:
         return _read_order_list(listed, order_sets)[0]
 
+    if kind not in (FILTER, ODOMETER):
+        raise ValueError(f"unknown session kind {kind!r}")
+    writer_keys = {"format", "kind", "delta", "orders", "seed"} | (
+        {"cap", "dp_target", "sealed"} if kind == FILTER else {"bound"}
+    )
+    extra = sorted(set(header) - writer_keys)
+    if extra:
+        raise ValueError(f"{kind} header has keys the writer never writes: {extra}")
+    seed = _read("header", header, "seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"header seed must be an integer in [0, 2**64), got {seed!r}")
+    delta = _as_number(_read("header", header, "delta"), "header delta")
+    try:
+        _check_delta(delta)
+    except ValueError as exc:
+        raise ValueError(f"header {exc}") from None
+    orders = _read("header", header, "orders", read_orders)
     if kind == FILTER:
         cap = _read("header", header, "cap", read_curve)
-        delta = _as_number(_read("header", header, "delta"), "header delta")
+        if cap.orders.orders != orders.orders:
+            raise ValueError("header orders are not the cap's orders")
         if "dp_target" in header and cap != new_filter_from_dp_target(
             _as_number(_read("header", header, "dp_target"), "header dp_target"),
             delta,
-            _read("header", header, "orders", read_orders),
+            orders,
         ).cap:
             raise ValueError("header cap is not the cap its dp_target yields")
         sealed = header.get("sealed", False)
         if type(sealed) is not bool:
             raise ValueError(f"header sealed must be true or false, got {sealed!r}")
         state = new_filter(cap, sealed=sealed)
-    elif kind == ODOMETER:
-        state = new_odometer(
-            _as_number(_read("header", header, "delta"), "header delta"),
-            _read("header", header, "orders", read_orders),
-        )
+    else:
+        state = new_odometer(delta, orders)
         if not exact(header.get("bound"), _bound_to_json(running_bound(state))):
             raise ValueError("header bound is not a fresh odometer's bound")
-    else:
-        raise ValueError(f"unknown session kind {kind!r}")
     advance = _stepper(state)
     request = None
     for i, record in enumerate(records[1:], start=1):
@@ -141,12 +156,16 @@ def reference_reconstruct(records: list):
             if (request.orders is not state.orders
                     and request.orders.orders != state.orders.orders):
                 raise ValueError(f"{where}: request is on orders other than the header's")
-        for key, expected in advance(request).items():
+        tail = advance(request)
+        for key, expected in tail.items():
             logged = _read(where, record, key)
             if not exact(logged, expected):
                 raise ValueError(f"event {i}: " + _DIVERGES.get(
                     key, f"log says {logged}, replay decides {expected}"
                 ))
+        extra = sorted(set(record) - {"i", "request", *tail})
+        if extra:
+            raise ValueError(f"{where} has keys the writer never writes: {extra}")
     return state
 
 

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -60,6 +61,23 @@ def test_gaussian_whose_curve_leaves_the_float_range_is_refused(sigma, sensitivi
         )
     # a sigma so large that the scale underflows to 0 still builds
     assert gaussian_rdp_curve(GaussianMechanism(1e200), SMALL_ORDERS).is_zero()
+
+
+@pytest.mark.parametrize("sigma, sensitivity", [(1e-154, 1.0), (1.0, 1e154)])
+def test_gaussian_curve_past_the_float_range_at_an_order_is_refused(sigma, sensitivity):
+    # the scale, 5e307, is finite, but alpha * scale is not from alpha 3.75
+    # on, the first such order of the default set
+    mech = GaussianMechanism(sigma, sensitivity=sensitivity)
+    message = (
+        f"sigma {sigma} is too small for sensitivity {float(sensitivity)}: "
+        "the curve leaves the float range at order 3.75"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gaussian_rdp_curve(mech, default_order_set())
+    with pytest.raises(ValueError, match="at order 32.0$"):
+        gaussian_rdp_curve(GaussianMechanism(2.5e-154), default_order_set())
+    # up to the last order below the edge, the curve builds
+    assert gaussian_rdp_curve(mech, OrderSet([1.5, 2.0, 3.5])).values[-1] < math.inf
 
 
 @pytest.mark.parametrize(
