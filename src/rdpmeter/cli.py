@@ -10,12 +10,15 @@ import json
 import math
 import random
 import sys
-from numbers import Real
 from typing import Optional
 
 from rdpmeter.core import (
     OrderSet,
     RdpCurve,
+    _as_list,
+    _check_numbers,
+    _object,
+    _read_order_list,
     curve_to_dp,
     default_order_set,
     granularity_order_set,
@@ -54,41 +57,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_json(path: str):
+def _load(path: str, parse):
+    """parse(JSON of path); every failure is a one-line ValueError naming path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         # JSONDecodeError, undecodable UTF-8, or an integer literal past
         # the interpreter's digit limit
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path} is nested too deeply to read") from None
+    try:
+        return parse(data)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _orders_from_json(data) -> OrderSet:
+    """An orders file: a JSON list of orders, or {"orders": [...]}."""
+    if isinstance(data, dict):
+        data = _object(data, "orders file", {"orders"}, ("orders",))["orders"]
+    return _read_order_list(data, {})[0]
 
 
 def _load_orders(path: Optional[str]) -> OrderSet:
-    if path is None:
-        return default_order_set()
-
-    def parse(data) -> OrderSet:
-        if isinstance(data, dict):
-            data = data.get("orders")
-        if not isinstance(data, list):
-            raise ValueError(f"{path}: expected a JSON list or {{\"orders\": [...]}}")
-        return OrderSet(data)
-
-    return _load(path, parse)
-
-
-def _load(path: str, parse):
-    """parse(JSON of path); a missing key, a value of the wrong type or
-    arithmetic that leaves the float range becomes a one-line ValueError
-    naming the file."""
-    data = _read_json(path)
-    try:
-        return parse(data)
-    except (KeyError, TypeError, AttributeError, ArithmeticError) as exc:
-        raise ValueError(f"{path} is malformed: {exc!r}") from None
+    return default_order_set() if path is None else _load(path, _orders_from_json)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -193,22 +189,18 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _load_signal(path: str) -> list[float]:
-    def parse(data) -> list[float]:
-        # finite reals only; a bool is not a number here, as in PolicySpec
-        if not isinstance(data, list) or not all(
-            isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-            for x in data
-        ):
-            raise ValueError(f"{path}: expected a JSON list of finite numbers")
-        return [float(x) for x in data]
-
-    return _load(path, parse)
+def _signal_from_list(data) -> list[float]:
+    """A signal file: a JSON list of finite numbers."""
+    signal = _as_list(data, "signal")
+    _check_numbers(signal, "signal")
+    if not all(map(math.isfinite, signal)):
+        raise ValueError("each signal entry must be finite")
+    return [float(x) for x in signal]
 
 
 def _cmd_policy(args) -> int:
     base = _load(args.base, ScheduleReplay.from_json)
-    signal = _load_signal(args.signal)
+    signal = _load(args.signal, _signal_from_list)
     policy = (
         _load(args.policy, PolicySpec.from_json)
         if args.policy is not None

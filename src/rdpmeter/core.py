@@ -96,6 +96,19 @@ class RdpCurve:
         return _read_curve(data, {})
 
 
+def _object(data, where: str, keys, required=()) -> dict:
+    """data, if a JSON object with every required key and no key outside keys
+    (None: any key); else a one-line ValueError naming where (steps[0].mech)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where} has no {key!r}")
+    if keys is not None and not data.keys() <= keys:
+        raise ValueError(f"unknown {where} keys: {', '.join(sorted(data.keys() - keys))}")
+    return data
+
+
 def _as_list(value, name: str) -> tuple:
     """A JSON list (or a tuple) as a tuple; tuple() alone would split a
     string into characters and an object into its keys."""
@@ -104,8 +117,9 @@ def _as_list(value, name: str) -> tuple:
     return tuple(value)
 
 
-# the types json.load gives a number
+# the types json.load gives a number, and the keys of a JSON curve
 _NUMBER_TYPES = frozenset((int, float))
+_CURVE_KEYS = frozenset({"orders", "eps"})
 
 
 def _as_number(value, name: str) -> float:
@@ -117,12 +131,12 @@ def _as_number(value, name: str) -> float:
 
 
 def _check_numbers(values: tuple, name: str) -> None:
-    """Raise TypeError unless every entry is a real number that is not a
+    """Raise ValueError unless every entry is a real number that is not a
     bool; one C-level pass where every entry is an int or a float."""
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         for v in values:
             if isinstance(v, bool) or not isinstance(v, Real):
-                raise TypeError(f"each {name} entry must be a number, got {v!r}")
+                raise ValueError(f"each {name} entry must be a number, got {v!r}")
 
 
 def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[int]]]:
@@ -147,12 +161,12 @@ def _read_order_list(listed, order_sets: dict) -> tuple[OrderSet, Optional[list[
     return orders, positions
 
 
-def _read_curve(data: Mapping, order_sets: dict, listed=None) -> RdpCurve:
-    """A JSON curve {"orders": [...], "eps": [...]}, each eps paired with
-    the order listed at its position; see _read_order_list for order_sets.
-    Every order and eps must be a JSON number (TypeError otherwise).
-    Given a JSON order list `listed`, a curve {"eps": [...]} without
-    "orders" is read as if it listed those orders."""
+def _read_curve(data: Mapping, order_sets: dict, listed=None, where="curve") -> RdpCurve:
+    """A JSON curve {"orders": [...], "eps": [...]} at where, each eps paired
+    with the order listed at its position; see _read_order_list for order_sets.
+    Every order and eps must be a JSON number. Given a JSON order list `listed`,
+    a curve {"eps": [...]} without "orders" reads as if it listed those orders."""
+    _object(data, where, _CURVE_KEYS, ("orders", "eps") if listed is None else ("eps",))
     if listed is None or "orders" in data:
         listed = data["orders"]
     orders, positions = _read_order_list(listed, order_sets)

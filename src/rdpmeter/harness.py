@@ -25,8 +25,10 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from rdpmeter.core import (
     OrderSet,
     RdpCurve,
+    _as_list,
     _as_number,
     _check_delta,
+    _object,
     _read_curve,
     _read_order_list,
     curve_add,
@@ -96,15 +98,13 @@ class ScheduleReplay:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScheduleReplay":
-        return cls(
-            steps=tuple(
-                ScheduleStep(
-                    mech=mechanism_from_json(s["mech"]),
-                    count=s.get("count", 1),
-                )
-                for s in data["steps"]
-            )
-        )
+        listed = _object(data, "schedule", {"steps"}, ("steps",))["steps"]
+        steps = []
+        for k, step in enumerate(_as_list(listed, "steps")):
+            _object(step, f"steps[{k}]", {"mech", "count"}, ("mech",))
+            mech = mechanism_from_json(step["mech"], f"steps[{k}].mech")
+            steps.append(ScheduleStep(mech=mech, count=step.get("count", 1)))
+        return cls(steps=tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,7 @@ class PolicySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolicySpec":
-        if not isinstance(data, dict):
-            raise ValueError("policy must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown policy keys: {', '.join(unknown)}")
-        return cls(**data)
+        return cls(**_object(data, "policy", frozenset(f.name for f in fields(cls))))
 
 
 @dataclass(frozen=True)
@@ -318,7 +313,10 @@ def _parse_records(text: str) -> list:
                 records.append(record)
                 continue
         last = line
-        parsed = json.loads(line)
+        try:
+            parsed = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"log line {len(records) + 1} is nested too deeply") from None
         records.append(parsed)
         copy = suffix = None
         if (
@@ -538,7 +536,7 @@ def _replay(
             raise ValueError("header bound is not a fresh odometer's bound")
     yield header, state
     advance = _stepper(state)
-    request = data = None  # the last request read, as a curve and as data
+    request = None
     for i, record in enumerate(log.events, start=1):
         where = f"record {i}"
         if not isinstance(record, dict):
@@ -546,24 +544,12 @@ def _replay(
         n = record.get("i")
         if isinstance(n, bool) or not isinstance(n, int) or n != i:
             raise ValueError(f"{where} is numbered {n!r}")
-        # Equal request data read to the same curve but for the sign of a
-        # zero: float() maps 1 and 1.0 alike, and -0.0 == 0.0. The
-        # accountants only add request values to totals that start at 0.0
-        # and compare the sums, and x + -0.0 is x + 0.0 for every such x,
-        # so reusing the last curve gives bit-identical steps. Equal data
-        # can still hold a bool where the last held a 0 or a 1 (true ==
-        # 1.0), which the reader refuses, so such data is read again. A
-        # format 2 record without a request repeats the previous record's.
         elided = v2 and "request" not in record
-        if request is None or not elided and record.get("request") != data:
+        if request is None or not elided:
             request = _read(where, record, "request", read_curve)
-            data = record["request"]
             if (request.orders is not state.orders
                     and request.orders.orders != state.orders.orders):
                 raise ValueError(f"{where}: request is on orders other than the header's")
-            bools_equal = 0.0 in request.values or 1.0 in request.values
-        elif not elided and bools_equal:
-            _read(where, record, "request", read_curve)
         tail = advance(request)
         for key, expected in tail.items():
             logged = _read(where, record, key)

@@ -15,6 +15,7 @@ from operator import truediv
 from typing import Mapping, Union
 
 from rdpmeter.core import _NUMBER_TYPES, OrderSet, RdpCurve, _as_list, _as_number
+from rdpmeter.core import _object, _read_curve
 
 PROB_SUM_TOL = 1e-12
 
@@ -239,19 +240,22 @@ def mechanism_to_json(mech: Mechanism) -> dict:
     raise TypeError(f"unknown mechanism type {type(mech).__name__}")
 
 
-def mechanism_from_json(data: Mapping) -> Mechanism:
-    kind = data.get("kind")
+def mechanism_from_json(data: Mapping, where: str = "mech") -> Mechanism:
+    kind = _object(data, where, None, ("kind",))["kind"]
     if kind == "gaussian":
+        _object(data, where, {"kind", "sigma", "sensitivity"}, ("sigma",))
         return GaussianMechanism(
             sigma=_as_number(data["sigma"], "sigma"),
             sensitivity=_as_number(data.get("sensitivity", 1.0), "sensitivity"),
         )
     if kind == "discrete":
+        _object(data, where, {"kind", "outcomes", "p0", "p1"}, ("outcomes", "p0", "p1"))
         return DiscreteMechanism(
             outcomes=_as_list(data["outcomes"], "outcomes"),
             p0=_as_list(data["p0"], "p0"),
             p1=_as_list(data["p1"], "p1"),
         )
     if kind == "raw":
-        return RawCurve(RdpCurve.from_json(data["curve"]))
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+        _object(data, where, {"kind", "curve"}, ("curve",))
+        return RawCurve(_read_curve(data["curve"], {}, where=f"{where}.curve"))
+    raise ValueError(f"unknown mechanism kind {kind!r} in {where}")

@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import add, lt, mul, sub
 from typing import Mapping, Optional, Union
 
-from rdpmeter.core import OrderSet, RdpCurve, _read_curve
+from rdpmeter.core import OrderSet, RdpCurve, _object, _read_curve
 from rdpmeter.mechanisms import (
     DiscreteMechanism,
     discrete_rdp_curve,
@@ -598,20 +598,22 @@ def script_from_json(data: Union[dict, str]) -> AdversaryScript:
     those."""
     if data == _STOP:
         return AdversaryScript(root=None)
-    if "orders" not in data["request"]:
-        raise ValueError("the root request of a script must list its orders")
-    listed = data["request"]["orders"]
-    return AdversaryScript(root=_node_from_json(data, {}, listed))
+    return AdversaryScript(root=_node_from_json(data, {}, None, "script"))
 
 
-def _node_from_json(data: dict, order_sets: dict, listed: list) -> ScriptNode:
-    """One node and its subtree; order_sets is the script's one dict for
-    `_read_curve`, so requests listing the same orders share one OrderSet,
-    and listed is the root request's order list."""
-    mech = mechanism_from_json(data["mech"])
-    request = _read_curve(data["request"], order_sets, listed)
+def _node_from_json(data: dict, order_sets: dict, listed, where: str) -> ScriptNode:
+    """The node at where and its subtree; order_sets is the script's one dict
+    for `_read_curve`, so requests listing the same orders share one OrderSet,
+    and listed is the root request's order list (None at the root itself)."""
+    _object(data, where, {"mech", "request", "children"}, ("mech", "request"))
+    mech = mechanism_from_json(data["mech"], f"{where}.mech")
+    request = _read_curve(data["request"], order_sets, listed, f"{where}.request")
+    listed = data["request"]["orders"] if listed is None else listed
+    children = _object(data.get("children", {}), f"{where}.children", None)
     children = {
-        label: None if child == _STOP else _node_from_json(child, order_sets, listed)
-        for label, child in data.get("children", {}).items()
+        label: None
+        if child == _STOP
+        else _node_from_json(child, order_sets, listed, f"{where}.children[{label!r}]")
+        for label, child in children.items()
     }
     return ScriptNode(mech=mech, request=request, children=children)

@@ -1,9 +1,12 @@
 import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -170,6 +173,18 @@ class TestConvert:
         assert out == ""
         assert err.count("\n") == 1 and str(path) in err
 
+    def test_json_nested_past_the_parser_depth_is_a_validation_error(
+        self, capsys, tmp_path
+    ):
+        # json.load raises RecursionError here
+        path = tmp_path / "curve.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(
+            ["convert", "--curve", str(path), "--delta", "1e-5"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is nested too deeply to read\n"
+
 
 class TestOrders:
     def test_default_set_has_38_orders(self, capsys):
@@ -332,7 +347,7 @@ class TestFilterCommand:
             capsys,
         )
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: sigma {sigma} is too small") and (
+        assert err.startswith(f"error: {path}: sigma {sigma} is too small") and (
             err.count("\n") == 1
         )
 
@@ -397,6 +412,22 @@ class TestOdometerCommand:
         assert code == 0
         state = reconstruct(SessionLog.from_jsonl(out))
         assert state.step == 3
+
+    def test_misspelled_mechanism_key_is_refused(self, capsys, tmp_path):
+        # "sensitivty" was once read as the default sensitivity 1.0: the
+        # run printed epsilon 3.261 for 18.107 and exited 0
+        mech = {"kind": "gaussian", "sigma": 2, "sensitivity": 5}
+        path = tmp_path / "sched.json"
+        argv = ["odometer", "--delta", "1e-5", "--schedule", str(path)]
+        path.write_text(json.dumps({"steps": [{"mech": mech, "count": 1}]}))
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["bound"]["eps"] == 18.107038634578924
+        mech["sensitivty"] = mech.pop("sensitivity")
+        path.write_text(json.dumps({"steps": [{"mech": mech, "count": 1}]}))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: unknown steps[0].mech keys: sensitivty\n"
 
     def test_csv_format_columns(self, files, capsys):
         code, out, _ = run(
@@ -565,7 +596,7 @@ class TestOracleCommands:
         )
         assert code == 1
         assert out == ""
-        assert err == "error: the root request of a script must list its orders\n"
+        assert err == f"error: {path}: script.request has no 'orders'\n"
 
     def test_verify_truncated_passes(self, files, capsys):
         code, out, _ = run(
@@ -773,30 +804,177 @@ OVERFLOWING_NODE = {
 }
 
 
+# Every JSON loader a command reads a file through, with one row per
+# object it checks: the command (an argv entry that is not a string is
+# written to a file of its own, and the file under test goes last), a
+# well-formed file, the path to the object inside it, and a key that the
+# object must hold (None when every key is optional). Each row gives the
+# object an unknown key, puts a string in its place, and drops that key.
+CURVE = {"orders": [2.0, 4.0], "eps": [1.0, 2.0]}
+GAUSSIAN = {"kind": "gaussian", "sigma": 2.0, "sensitivity": 1.0}
+DISCRETE = {"kind": "discrete", "outcomes": ["a", "b"], "p0": [0.6, 0.4], "p1": [0.4, 0.6]}
+NODE = {
+    "mech": DISCRETE,
+    "request": {"orders": [2.0, 4.0], "eps": [5.0, 5.0]},
+    "children": {"a": {"mech": DISCRETE, "request": {"eps": [5.0, 5.0]}}},
+}
+
+
+def _schedule(mech):
+    return {"steps": [{"mech": mech, "count": 1}]}
+
+
+CONVERT = ["convert", "--delta", "1e-5", "--curve"]
+REPLAY = ["replay", "--schedule"]
+REPLAY_ON_CURVE_ORDERS = ["replay", "--orders-file", {"orders": CURVE["orders"]}, "--schedule"]
+VERIFY = ["oracle", "verify-truncated", "--delta", "0.05", "--f", "1", "--script"]
+POLICY = ["policy", "--base", _schedule(GAUSSIAN), "--signal", [], "--policy"]
+ODOMETER_ORDERS = ["odometer", "--delta", "1e-5", "--schedule", _schedule(GAUSSIAN),
+                   "--orders-file"]
+GAUSSIAN_CHECK_ORDERS = ["oracle", "gaussian-check", "--sigma", "1", "--orders-file"]
+LOADERS = {
+    "RdpCurve.from_json": [(CONVERT, CURVE, (), "orders")],
+    "ScheduleReplay.from_json": [
+        (REPLAY, _schedule(GAUSSIAN), (), "steps"),
+        (REPLAY, _schedule(GAUSSIAN), ("steps", 0), "mech"),
+    ],
+    "mechanism_from_json": [
+        (REPLAY, _schedule(GAUSSIAN), ("steps", 0, "mech"), "sigma"),
+        (REPLAY, _schedule(DISCRETE), ("steps", 0, "mech"), "p1"),
+        (REPLAY_ON_CURVE_ORDERS, _schedule({"kind": "raw", "curve": CURVE}),
+         ("steps", 0, "mech"), "curve"),
+        (REPLAY_ON_CURVE_ORDERS, _schedule({"kind": "raw", "curve": CURVE}),
+         ("steps", 0, "mech", "curve"), "eps"),
+    ],
+    "script_from_json": [(VERIFY, NODE, (), "request")],
+    "_node_from_json": [
+        (VERIFY, NODE, ("children", "a"), "mech"),
+        (VERIFY, NODE, ("children", "a", "request"), "eps"),
+    ],
+    "PolicySpec.from_json": [(POLICY, {}, (), None)],
+    "_orders_from_json": [
+        (ODOMETER_ORDERS, {"orders": [2.0, 4.0]}, (), "orders"),
+        (GAUSSIAN_CHECK_ORDERS, {"orders": [2.0, 4.0]}, (), "orders"),
+    ],
+}
+
+
+def _changed(payload, path, change):
+    """A copy of payload with the value at path replaced by change(value)."""
+    payload = json.loads(json.dumps(payload))
+    if not path:
+        return change(payload)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = change(parent[path[-1]])
+    return payload
+
+
+def _without(key):
+    return lambda value: {k: v for k, v in value.items() if k != key}
+
+
+def _loader_cases():
+    for loader, rows in LOADERS.items():
+        for argv, good, path, required in rows:
+            name = f"{loader}:{argv[0]}:{'.'.join(map(str, path)) or 'top'}:{required}"
+            yield pytest.param(
+                _changed(good, path, lambda value: {**value, "bogus": 1}), argv,
+                "keys: bogus", id=f"{name}-unknown-key",
+            )
+            # a string: an orders file may be a list
+            yield pytest.param(
+                _changed(good, path, lambda value: "x"), argv,
+                "got str", id=f"{name}-not-an-object",
+            )
+            if required is not None:
+                yield pytest.param(
+                    _changed(good, path, _without(required)), argv,
+                    f"has no {required!r}", id=f"{name}-without-{required}",
+                )
+
+
 @pytest.mark.parametrize(
-    "payload, argv",
+    "payload, argv, problem",
     [
-        (GAUSSIAN_NO_SIGMA, ["odometer", "--delta", "1e-5", "--schedule"]),
-        ({"orders": [2.0, 4.0]}, ["convert", "--delta", "1e-5", "--curve"]),
-        ([1, 2], ["odometer", "--delta", "1e-5", "--schedule"]),
-        (MECH_AS_LIST, ["replay", "--schedule"]),
-        (
+        pytest.param(
+            GAUSSIAN_NO_SIGMA, ["odometer", "--delta", "1e-5", "--schedule"],
+            "steps[0].mech has no 'sigma'", id="gaussian-without-sigma",
+        ),
+        pytest.param(
+            {"orders": [2.0, 4.0]}, ["convert", "--delta", "1e-5", "--curve"],
+            "curve has no 'eps'", id="curve-without-eps",
+        ),
+        pytest.param(
+            [1, 2], ["odometer", "--delta", "1e-5", "--schedule"],
+            "schedule must be a JSON object, got list", id="schedule-list",
+        ),
+        pytest.param(
+            MECH_AS_LIST, ["replay", "--schedule"],
+            "steps[0].mech must be a JSON object, got list", id="mechanism-list",
+        ),
+        pytest.param(
             NODE_NO_REQUEST,
             ["oracle", "verify-truncated", "--delta", "0.05", "--f", "1", "--script"],
+            "script has no 'request'", id="node-without-request",
         ),
-        ([[2.0]], ["oracle", "gaussian-check", "--sigma", "1", "--orders-file"]),
+        pytest.param(
+            [[2.0]], ["oracle", "gaussian-check", "--sigma", "1", "--orders-file"],
+            "each orders entry must be a number, got [2.0]", id="orders-holding-a-list",
+        ),
+        # an orders file is read as a curve's orders are: not coerced
+        pytest.param(
+            ["2", "4"], ODOMETER_ORDERS, "each orders entry must be a number, got '2'",
+            id="orders-of-strings",
+        ),
+        pytest.param(
+            {"steps": {"a": 1}}, REPLAY, "steps must be a list, got dict",
+            id="steps-object",
+        ),
+        pytest.param(
+            _schedule({"kind": "gausian", "sigma": 2.0}), REPLAY,
+            "unknown mechanism kind 'gausian' in steps[0].mech", id="mechanism-kind",
+        ),
+        *_loader_cases(),
     ],
-    ids=["gaussian-without-sigma", "curve-without-eps", "schedule-list",
-         "mechanism-list", "node-without-request", "orders-holding-a-list"],
 )
-def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, payload, argv):
+def test_malformed_input_file_is_a_validation_error(
+    tmp_path, capsys, payload, argv, problem
+):
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            argv[k] = str(tmp_path / f"arg{k}.json")
+            with open(argv[k], "w", encoding="utf-8") as handle:
+                json.dump(arg, handle)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(argv + [str(path)], capsys)
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert str(path) in err and "malformed" in err
+    assert err.startswith(f"error: {path}: ") and problem in err
+    for name in ("TypeError", "KeyError", "AttributeError", "RecursionError", "Traceback"):
+        assert name not in err
+
+
+def test_every_json_loader_is_in_the_malformed_input_table():
+    # a loader added without a row in LOADERS would have no unknown-key,
+    # non-object or missing-key case
+    found = set()
+    for info in pkgutil.iter_modules(rdpmeter.__path__):
+        module = importlib.import_module(f"rdpmeter.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value) and name.endswith("from_json"):
+                found.add(name)
+            elif inspect.isclass(value):
+                found.update(
+                    f"{name}.{attr}" for attr in vars(value) if attr.endswith("from_json")
+                )
+    assert found == set(LOADERS)
 
 
 def test_script_whose_true_curve_passes_the_float_range_loads(tmp_path, capsys):
@@ -855,7 +1033,7 @@ def test_mechanism_number_that_is_not_a_json_number_is_a_validation_error(
     path.write_text(json.dumps({"steps": [{"mech": mech, "count": 1}]}))
     code, out, err = run(["replay", "--schedule", str(path)], capsys)
     assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("count", [2.7, True, "3"])

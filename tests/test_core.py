@@ -160,13 +160,13 @@ def test_json_curve_lists_must_be_lists(data, name, kind):
 )
 def test_json_curve_entries_must_be_numbers(data, name, bad):
     # float() would read "2" as 2.0 and true as 1.0
-    with pytest.raises(TypeError, match=f"^each {name} entry must be a number, got {bad}$"):
+    with pytest.raises(ValueError, match=f"^each {name} entry must be a number, got {bad}$"):
         RdpCurve.from_json(data)
     # also where the order list was read before, as every log and script
     # reads all but its first
     order_sets: dict = {}
     _read_curve({"orders": [2.0, 4.0], "eps": [1.0, 1.0]}, order_sets)
-    with pytest.raises(TypeError, match=f"^each {name} entry must be a number"):
+    with pytest.raises(ValueError, match=f"^each {name} entry must be a number"):
         _read_curve(data, order_sets)
     # other real types than int and float are numbers too
     import numpy as np
@@ -183,7 +183,7 @@ def test_eps_only_curve_reads_on_the_given_order_list():
     # a curve that lists its own orders is read on those
     own = _read_curve({"orders": [2.0, 4.0], "eps": [1.0, 2.0]}, order_sets, [4.0, 2.0])
     assert own == full
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^curve has no 'orders'$"):
         _read_curve({"eps": [1.0, 2.0]}, order_sets)
     with pytest.raises(ValueError, match="^eps must be a list, got str$"):
         _read_curve({"eps": "12"}, order_sets, [4.0, 2.0])

@@ -775,7 +775,7 @@ class TestReconstruct:
         records[2]["request"][key][0] = value
         self._rejected(
             records,
-            f"^record 2 has a malformed 'request': TypeError\\(.each {key} entry must be a number",
+            f"^record 2 has a malformed 'request': ValueError\\(.each {key} entry must be a number",
         )
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
@@ -793,7 +793,7 @@ class TestReconstruct:
         records[2]["request"]["eps"][0] = bad
         self._rejected(
             records,
-            "^record 2 has a malformed 'request': TypeError\\(.each eps entry must be a number",
+            "^record 2 has a malformed 'request': ValueError\\(.each eps entry must be a number",
         )
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
@@ -1001,6 +1001,16 @@ class TestReplaySchedule:
         with pytest.raises(ValueError, match="count must be an integer") as info:
             ScheduleReplay.from_json(data)
         assert "\n" not in str(info.value)
+
+    def test_misspelled_mechanism_key_is_refused(self):
+        # not read as the default sensitivity 1.0, which under-reports
+        # epsilon
+        mech = {"kind": "gaussian", "sigma": 2, "sensitivty": 5}
+        with pytest.raises(ValueError, match=r"^unknown steps\[0\]\.mech keys: sensitivty$"):
+            ScheduleReplay.from_json({"steps": [{"mech": mech, "count": 1}]})
+        mech["sensitivity"] = mech.pop("sensitivty")
+        (step,) = ScheduleReplay.from_json({"steps": [{"mech": mech}]}).steps
+        assert step == ScheduleStep(GaussianMechanism(2.0, 5.0), 1)
 
     def test_schedule_json_round_trip(self):
         sched = ScheduleReplay(

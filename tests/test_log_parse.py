@@ -1,5 +1,5 @@
 """The log view parses each distinct record line once, and the replay
-reads each distinct request once. These tests keep the one-line parser
+reads each request a record carries. These tests keep the one-line parser
 and the line-by-line walk as references (the walk with its numbering,
 tail and header checks made type-exact, and format 2's elided requests), and
 require the same records, verdicts and messages on mutated logs."""
@@ -385,3 +385,14 @@ def test_a_deeply_nested_template_is_copied_like_any_other():
     records = SessionLog(text).records
     assert records == reference_records(text)
     assert records[1]["request"] is not records[2]["request"]
+
+
+def test_a_line_nested_past_the_parser_depth_is_a_value_error():
+    # json.loads raises RecursionError for it
+    deep = "[" * 100_000 + "]" * 100_000
+    text = '{"kind": "filter"}\n' + f'{{"i": 1, "request": {deep}, "decision": "GRANT"}}\n'
+    message = "^log line 2 is nested too deeply$"
+    with pytest.raises(ValueError, match=message):
+        SessionLog.from_jsonl(text)
+    with pytest.raises(ValueError, match=message):
+        reconstruct(SessionLog(text))

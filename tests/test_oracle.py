@@ -546,7 +546,7 @@ def test_eps_only_requests_pair_with_the_roots_listed_orders():
 def test_root_request_without_orders_is_refused():
     data = json.loads(json.dumps(script_to_json(_full_form_script())))
     del data["request"]["orders"]
-    with pytest.raises(ValueError, match="^the root request of a script must list its orders$"):
+    with pytest.raises(ValueError, match=r"^script\.request has no 'orders'$"):
         script_from_json(data)
 
 
