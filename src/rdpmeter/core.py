@@ -127,7 +127,10 @@ def _as_number(value, name: str) -> float:
     reads as. float() alone would also take "2" and true."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} is a number past the float range") from None
 
 
 def _check_numbers(values: tuple, name: str) -> None:

@@ -213,6 +213,27 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
     return Decision.PASS
 
 
+def try_spend_run(state: FilterState, request: RdpCurve, k: int) -> int:
+    """Send request k times and return g, the number granted: the first g
+    GRANT, the rest PASS. The state ends as after k `try_spend` calls, which
+    this makes for every send but those a window counts, counted at once."""
+    k = operator.index(k)
+    g = 0
+    while g < k:
+        if request is state._last and state.cap is state._last_cap and state._safe:
+            if state._safe < 0:
+                break
+            n = min(state._safe, k - g)
+            state._safe -= n
+            state._pending += n
+            g += n
+        elif try_spend(state, request) is Decision.GRANT:
+            g += 1
+        else:
+            break
+    return g
+
+
 def remaining(state: FilterState) -> RdpCurve:
     """Headroom curve: pointwise max(0, cap - spent)."""
     return RdpCurve(

@@ -41,6 +41,7 @@ from rdpmeter.filters import (
     new_filter_from_dp_target,
     remaining,
     try_spend,
+    try_spend_run,
 )
 from rdpmeter.mechanisms import (
     GaussianMechanism,
@@ -56,7 +57,8 @@ from rdpmeter.odometers import (
     RunningBound,
     new_odometer,
     running_bound,
-    spend,
+    spend,  # not called here; kept so that harness.spend still resolves
+    spend_run,
 )
 from rdpmeter.oracle import BOTTOM, AdversaryScript
 
@@ -332,30 +334,38 @@ def _bound_to_json(b: RunningBound) -> dict:
     return {"eps": b.eps_dp, "alpha": b.witness_order, "f": b.witness_level}
 
 
-def _stepper(state: Union[FilterState, OdometerState]) -> Callable[[RdpCurve], dict]:
-    """The one record step, for the writer and the replay alike: feed a
-    request to the accountant and return the record's tail (every key
-    after "request"). An unchanged tail is the same object: one dict per
-    filter decision; an odometer's is rebuilt only when a rung moved."""
+def _stepper(state: Union[FilterState, OdometerState]) -> Callable[[RdpCurve, int], list]:
+    """The one run step, for the writer and the replay alike: send a request
+    k times and return the records' tails (every key after "request") as
+    runs [(count, tail), ...]. An unchanged tail is the same object: one
+    dict per filter decision; an odometer's is rebuilt when a rung moved."""
     if isinstance(state, FilterState):
-        tails = {d: {"decision": d.value} for d in Decision}
-        return lambda request: tails[try_spend(state, request)]
-    built_for: Optional[RunningBound] = None
-    tail: dict = {}
+        grant, passed = ({"decision": d.value} for d in (Decision.GRANT, Decision.PASS))
 
-    def step(request: RdpCurve) -> dict:
-        nonlocal built_for, tail
-        spend(state, request)
-        bound = running_bound(state)
-        if bound is not built_for:  # a rung moved
-            built_for = bound
-            tail = {
-                "f_per_alpha": {repr(a): f for a, f in zip(state.orders, state._f)},
-                "bound": _bound_to_json(bound),
-            }
-        return tail
+        def filter_step(request: RdpCurve, k: int) -> list[tuple[int, dict]]:
+            g = try_spend_run(state, request, k)
+            if 0 < g < k:
+                return [(g, grant), (k - g, passed)]
+            return [(k, grant if g else passed)]
 
-    return step
+        return filter_step
+
+    def build(rungs: list[int], bound: RunningBound) -> dict:
+        f_per_alpha = {repr(a): f for a, f in zip(state.orders, rungs)}
+        return {"f_per_alpha": f_per_alpha, "bound": _bound_to_json(bound)}
+
+    def odometer_step(request: RdpCurve, k: int) -> list[tuple[int, dict]]:
+        nonlocal tail
+        runs, start = [], 0
+        for position, rungs, bound in spend_run(state, request, k):
+            if position > start:
+                runs.append((position - start, tail))
+            tail, start = build(rungs, bound), position
+        runs.append((k - start, tail))
+        return runs
+
+    tail = build(state._f, running_bound(state))
+    return odometer_step
 
 
 def run_session(config: SessionConfig) -> SessionLog:
@@ -368,7 +378,8 @@ def run_session(config: SessionConfig) -> SessionLog:
     Each record line is written as json.dumps would write the record,
     from fragments that are each encoded by json.dumps only when they
     change: the request once per schedule step or script node, the tail
-    only when `_stepper` returns a new one.
+    only when `_stepper` returns a new one. A schedule step is one step
+    call, and each run of equal tails it returns one join.
     """
     header: dict = {
         "format": FORMAT,
@@ -395,23 +406,26 @@ def run_session(config: SessionConfig) -> SessionLog:
         header["bound"] = _bound_to_json(running_bound(state))
     lines = [json.dumps(header) + "\n"]
     advance = _stepper(state)
+    n = 1  # the next record's "i"
     tail: Optional[dict] = None
     tail_json = last_request_json = ""
 
-    def on_request(request: RdpCurve, request_json: str) -> dict:
-        nonlocal tail, tail_json, last_request_json
-        got = advance(request)
-        if got is not tail:
-            tail = got
-            tail_json = json.dumps(got)[1:-1]
-        if request_json == last_request_json:
-            lines.append(f'{{"i": {len(lines)}, {tail_json}}}\n')
-        else:
-            last_request_json = request_json
-            lines.append(
-                f'{{"i": {len(lines)}, "request": {request_json}, {tail_json}}}\n'
-            )
-        return got
+    def write(request: RdpCurve, request_json: str, k: int) -> dict:  # the last tail
+        nonlocal n, tail, tail_json, last_request_json
+        for count, got in advance(request, k):
+            if got is not tail:
+                tail = got
+                tail_json = json.dumps(got)[1:-1]
+            first = str(n)
+            if request_json != last_request_json:
+                last_request_json = request_json
+                first += f', "request": {request_json}'
+            # the run's records in one join: '{"i": ' + n + end each
+            end = f", {tail_json}}}\n"
+            numbers = [first, *map(str, range(n + 1, n + count))]
+            lines.append('{"i": ' + (end + '{"i": ').join(numbers) + end)
+            n += count
+        return tail
 
     if isinstance(config.source, AdversaryScript):
         # imported here, its only use: numpy is most of a CLI start-up's
@@ -421,18 +435,13 @@ def run_session(config: SessionConfig) -> SessionLog:
         rng = np.random.default_rng(config.seed)
         node = config.source.root
         while node is not None:
-            got = on_request(node.request, json.dumps(node.request.to_json()))
-            if got.get("decision") == Decision.PASS:
-                outcome = BOTTOM
-            else:
-                outcome = sample(node.mech, 0, rng)
-            node = node.children.get(outcome)
+            got = write(node.request, json.dumps(node.request.to_json()), 1)
+            passed = got.get("decision") == Decision.PASS
+            node = node.children.get(BOTTOM if passed else sample(node.mech, 0, rng))
     else:
         for step in config.source.steps:
             request = mechanism_rdp_curve(step.mech, config.orders)
-            request_json = json.dumps(request.to_json())
-            for _ in range(step.count):
-                on_request(request, request_json)
+            write(request, json.dumps(request.to_json()), step.count)
     return SessionLog("".join(lines), final_state=state)
 
 
@@ -445,7 +454,7 @@ def _read(where: str, record: dict, key: str, parse=None):
         return record[key]
     try:
         return parse(record[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where} has a malformed {key!r}: {exc!r}") from None
 
 
@@ -479,10 +488,10 @@ def _replay(
     log: SessionLog,
 ) -> Iterator[tuple[dict, Union[FilterState, OdometerState]]]:
     """Open the accountant from the header and yield (header, accountant),
-    then re-execute each record through `_stepper` and yield it with the
-    accountant after it, once every key of the tail the step gives equals
-    the record's (see reconstruct). The accountant is one object, updated
-    in place."""
+    then re-execute each record through `_stepper`, as a run of one, and
+    yield it with the accountant after it, once every key of the tail the
+    step gives equals the record's (see reconstruct). The accountant is
+    one object, updated in place."""
     header = log.header
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
@@ -550,7 +559,7 @@ def _replay(
             if (request.orders is not state.orders
                     and request.orders.orders != state.orders.orders):
                 raise ValueError(f"{where}: request is on orders other than the header's")
-        tail = advance(request)
+        tail = advance(request, 1)[0][1]
         for key, expected in tail.items():
             logged = _read(where, record, key)
             if not _same(logged, expected):
@@ -652,9 +661,7 @@ def simulate_policy(
             sigma = min(sigma, policy.sigma_ceiling)
         adapted = GaussianMechanism(sigma=sigma, sensitivity=mech.sensitivity)
         rate = gaussian_rdp_curve(adapted, orders)
-        granted = 0
-        while granted < step.count and try_spend(state, rate) is Decision.GRANT:
-            granted += 1
+        granted = try_spend_run(state, rate, step.count)
         if granted:
             out.append(ScheduleStep(mech=adapted, count=granted))
         if granted < step.count:

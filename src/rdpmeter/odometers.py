@@ -181,6 +181,20 @@ def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
     return state
 
 
+def spend_run(state: OdometerState, request: RdpCurve, k: int) -> list[tuple]:
+    """Spend request k times, one `spend` each; return (position from 0,
+    rungs, bound after it) for each spend that moved a rung. A spend that
+    raises stops the run; the spends before it stand."""
+    moves = []
+    bound = state._bound
+    for position in range(k):
+        spend(state, request)
+        if state._bound is not bound:
+            bound = state._bound
+            moves.append((position, state._f, bound))
+    return moves
+
+
 def filter_index(state: OdometerState, alpha: float) -> int:
     """Smallest f with spent(alpha) <= level(f, alpha); fresh state gives 1."""
     return state._f[state.schedule.orders.index(alpha)]

@@ -598,13 +598,19 @@ def script_from_json(data: Union[dict, str]) -> AdversaryScript:
     those."""
     if data == _STOP:
         return AdversaryScript(root=None)
-    return AdversaryScript(root=_node_from_json(data, {}, None, "script"))
+    return AdversaryScript(root=_node_from_json(data, {}, None, "script", 1))
 
 
-def _node_from_json(data: dict, order_sets: dict, listed, where: str) -> ScriptNode:
-    """The node at where and its subtree; order_sets is the script's one dict
-    for `_read_curve`, so requests listing the same orders share one OrderSet,
-    and listed is the root request's order list (None at the root itself)."""
+def _node_from_json(
+    data: dict, order_sets: dict, listed, where: str, depth: int
+) -> ScriptNode:
+    """The node at where, depth deep, and its subtree; order_sets is the
+    script's one dict for `_read_curve`, so requests listing the same
+    orders share one OrderSet, and listed is the root request's order
+    list (None at the root itself). The depth is checked here, before
+    the recursion goes deeper, and again by validation."""
+    if depth > MAX_DEPTH:
+        raise ValueError(f"script deeper than the supported maximum {MAX_DEPTH}")
     _object(data, where, {"mech", "request", "children"}, ("mech", "request"))
     mech = mechanism_from_json(data["mech"], f"{where}.mech")
     request = _read_curve(data["request"], order_sets, listed, f"{where}.request")
@@ -613,7 +619,9 @@ def _node_from_json(data: dict, order_sets: dict, listed, where: str) -> ScriptN
     children = {
         label: None
         if child == _STOP
-        else _node_from_json(child, order_sets, listed, f"{where}.children[{label!r}]")
+        else _node_from_json(
+            child, order_sets, listed, f"{where}.children[{label!r}]", depth + 1
+        )
         for label, child in children.items()
     }
     return ScriptNode(mech=mech, request=request, children=children)

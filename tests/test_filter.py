@@ -12,6 +12,7 @@ from rdpmeter.filters import (
     new_filter_from_dp_target,
     remaining,
     try_spend,
+    try_spend_run,
 )
 from rdpmeter.harness import (
     FILTER,
@@ -335,6 +336,60 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
                 passed = request
         assert hexes(f.spent.values) == hexes(ref.spent.values)
         assert f._passed_once == ref._passed_once
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_run_matches_k_sends_bit_for_bit(data):
+    # try_spend_run(f, request, k) against k calls of try_spend on a twin,
+    # sealed or not: runs of a share of the cap, so long ones cross it,
+    # runs of one object again, which start mid-window or after its PASS,
+    # and runs after another object's PASS; the totals are read after
+    # some runs only, so others start with sends still pending
+    n_orders = data.draw(st.integers(min_value=1, max_value=4))
+    orders = OrderSet([1.5 * 2.0**i for i in range(n_orders)])
+    cap = RdpCurve(orders, tuple(data.draw(_CAPS) for _ in range(n_orders)))
+    sealed = data.draw(st.booleans())
+    f, twin = new_filter(cap, sealed=sealed), new_filter(cap, sealed=sealed)
+    pool = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        if data.draw(st.booleans()):
+            share = data.draw(st.sampled_from([1.0, 0.5, 1 / 3, 0.01, 1e-3]))
+            values = tuple(c * share for c in cap.values)
+        else:
+            values = tuple(data.draw(_AMOUNTS) for _ in range(n_orders))
+        pool.append(RdpCurve(orders, values))
+    budget = 3000  # sends per example
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        request = data.draw(st.sampled_from(pool))
+        k = min(budget, data.draw(st.sampled_from([0, 1, 2, 3, 17, 300, 2000])))
+        budget -= k
+        decisions = [try_spend(twin, request) for _ in range(k)]
+        g = try_spend_run(f, request, k)
+        assert decisions == [GRANT] * g + [PASS] * (k - g)
+        assert (f._last, f._safe, f._pending) == (twin._last, twin._safe, twin._pending)
+        if data.draw(st.booleans()):
+            assert hexes(f._spent) == hexes(twin._spent)
+    assert hexes(f._spent) == hexes(twin._spent)
+    assert f == twin
+
+
+def test_a_run_is_decided_in_full_only_where_no_window_counts(monkeypatch):
+    # 2,000 sends of one request take a handful of full decisions
+    import rdpmeter.filters as filters
+
+    calls = []
+    original = filters.try_spend
+    monkeypatch.setattr(
+        filters, "try_spend", lambda s, r: calls.append(r) or original(s, r)
+    )
+    f = new_filter(curve(a2=1000.0, a4=10.0))
+    request = curve(a2=1.0, a4=1.0)
+    assert try_spend_run(f, request, 2000) == 1000
+    assert 2 <= len(calls) <= 10
+    assert f.spent.values == (1000.0, 1000.0)
+    assert f._safe == -1  # a repeat is PASSed at once
+    assert try_spend_run(f, request, 5) == 0 and len(calls) <= 10
 
 
 @pytest.mark.parametrize("ulps", [-1, 0, 1])

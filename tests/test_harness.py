@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from log_formats import to_v1
 
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
-from rdpmeter.filters import Decision, new_filter, try_spend
+from rdpmeter.filters import Decision, FilterState, new_filter, try_spend
 from rdpmeter.harness import (
     FILTER,
     ODOMETER,
@@ -33,7 +33,7 @@ from rdpmeter.mechanisms import (
     gaussian_rdp_curve,
     mechanism_rdp_curve,
 )
-from rdpmeter.odometers import running_bound
+from rdpmeter.odometers import running_bound, spend
 from rdpmeter.oracle import BOTTOM, AdversaryScript, ScriptNode, random_script
 
 ORDERS2 = OrderSet([2.0])
@@ -734,6 +734,42 @@ class TestReconstruct:
         self._rejected(records, f"record 2 has no '{key}'")
 
     @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda r: r[0]["orders"].__setitem__(0, 10**400),
+             "^header has a malformed 'orders': OverflowError"),
+            (lambda r: r[2]["request"]["orders"].__setitem__(0, 10**400),
+             "^record 2 has a malformed 'request': OverflowError"),
+            (lambda r: r[2]["request"]["eps"].__setitem__(1, 10**400),
+             "^record 2 has a malformed 'request': OverflowError"),
+            (lambda r: r[0].__setitem__("delta", 10**400),
+             "^header delta is a number past the float range$"),
+        ],
+        ids=["header-orders", "request-orders", "request-eps", "header-delta"],
+    )
+    def test_an_int_past_the_float_range_names_its_record(self, mode, tamper, message):
+        # json.dumps writes 10**400 as its 401 digits, which float() refuses
+        records = self._records(mode)
+        tamper(records)
+        self._rejected(records, message)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda h: h["cap"]["eps"].__setitem__(0, 10**400),
+             "^header has a malformed 'cap': OverflowError"),
+            (lambda h: h.__setitem__("dp_target", 10**400),
+             "^header dp_target is a number past the float range$"),
+        ],
+        ids=["cap-eps", "dp-target"],
+    )
+    def test_a_filter_header_int_past_the_float_range_is_named(self, tamper, message):
+        records = self._records(FILTER)
+        tamper(records[0])
+        self._rejected(records, message)
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
     def test_request_on_other_orders_names_its_record(self, mode):
         records = self._records(mode)
         records[2]["request"] = _req(0.0).to_json()
@@ -955,6 +991,110 @@ class TestLogText:
         assert loaded.final_state is None
         with pytest.raises(ValueError):
             SessionLog.from_jsonl(text + "{not json\n")
+
+
+def _per_send_log(config: SessionConfig) -> str:
+    """The log of a schedule session decided one send at a time, each
+    record encoded by json.dumps: the header is the writer's own, and a
+    record leaves out its request where its JSON equals the previous
+    record's, across schedule steps too."""
+    header = run_session(config).to_jsonl().splitlines()[0]
+    state = reconstruct(SessionLog.from_jsonl(header))
+    lines = [header + "\n"]
+    last = None
+    for step in config.source.steps:
+        request = mechanism_rdp_curve(step.mech, config.orders)
+        for _ in range(step.count):
+            record = {"i": len(lines)}
+            if request.to_json() != last:
+                last = record["request"] = request.to_json()
+            if config.mode == FILTER:
+                record["decision"] = try_spend(state, request).value
+            else:
+                spend(state, request)
+                bound = running_bound(state)
+                record["f_per_alpha"] = {repr(a): f for a, f in zip(config.orders, state._f)}
+                record["bound"] = {
+                    "eps": bound.eps_dp, "alpha": bound.witness_order, "f": bound.witness_level
+                }
+            lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
+
+
+def _state_bits(state) -> tuple:
+    totals = [v.hex() for v in state._spent]
+    if isinstance(state, FilterState):
+        return totals, state._passed_once
+    return totals, state._f, running_bound(state), state.step
+
+
+def _steps(*steps) -> ScheduleReplay:
+    return ScheduleReplay(
+        steps=tuple(ScheduleStep(GaussianMechanism(sigma), count) for sigma, count in steps)
+    )
+
+
+class TestScheduleRuns:
+    """A schedule step is one run of the accountant, and each run of equal
+    records is written at once; the log is byte for byte the one a writer
+    deciding each send on its own gives, and replays to the same state."""
+
+    @staticmethod
+    def _run(config: SessionConfig) -> list:
+        log = run_session(config)
+        text = log.to_jsonl()
+        assert text == _per_send_log(config)
+        replayed = reconstruct(SessionLog.from_jsonl(text))
+        assert _state_bits(replayed) == _state_bits(log.final_state)
+        return log.events
+
+    @staticmethod
+    def _filter(source, sealed=False) -> SessionConfig:
+        # sigma s spends 1/s**2 at order 2 and 2/s**2 at order 4
+        return SessionConfig(
+            mode=FILTER, orders=ORDERS24, delta=1e-5, seed=0, source=source,
+            cap=RdpCurve(ORDERS24, (40.5, 81.0)), sealed=sealed,
+        )
+
+    def test_a_step_passed_whole(self):
+        events = self._run(self._filter(_steps((1.0, 30), (0.25, 400), (3.0, 20))))
+        decisions = [r["decision"] for r in events]
+        assert decisions == ["GRANT"] * 30 + ["PASS"] * 400 + ["GRANT"] * 20
+
+    def test_a_step_that_crosses_the_cap(self):
+        events = self._run(self._filter(_steps((1.0, 300), (0.5, 5))))
+        decisions = [r["decision"] for r in events]
+        assert decisions == ["GRANT"] * 40 + ["PASS"] * 265
+        assert "request" in events[0] and "request" in events[300]
+        assert not any("request" in r for r in events[1:300] + events[301:])
+
+    def test_a_sealed_filter_passes_every_later_step(self):
+        source = _steps((1.0, 50), (3.0, 20), (1.0, 5))
+        events = self._run(self._filter(source, sealed=True))
+        assert [r["decision"] for r in events] == ["GRANT"] * 40 + ["PASS"] * 35
+        # unsealed, the smaller request of the second step fits again
+        unsealed = [r["decision"] for r in self._run(self._filter(source))]
+        assert unsealed[50:70] == ["GRANT"] * 4 + ["PASS"] * 16
+
+    @pytest.mark.parametrize("mode", [FILTER, ODOMETER])
+    def test_equal_requests_in_adjacent_steps_are_written_once(self, mode):
+        # two step objects, two curve objects, one request JSON text
+        source = _steps((1.0, 30), (1.0, 30), (2.0, 3))
+        if mode == FILTER:
+            config = self._filter(source)
+        else:
+            config = dataclasses.replace(_climbing_odometer(), source=source)
+        events = self._run(config)
+        carrying = [r["i"] for r in events if "request" in r]
+        assert carrying == [1, 61]
+
+    def test_an_odometer_run_climbs_mid_step_and_across_windows(self):
+        config = dataclasses.replace(
+            _climbing_odometer(), source=_steps((1.0, 20), (3.0, 2000), (0.25, 3))
+        )
+        rungs = [r["f_per_alpha"] for r in self._run(config)]
+        climbs = [i for i in range(1, len(rungs)) if rungs[i] != rungs[i - 1]]
+        assert len(climbs) > 8 and climbs[-1] >= 2020
 
 
 class TestReplaySchedule:

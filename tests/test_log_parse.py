@@ -156,7 +156,7 @@ def reference_reconstruct(records: list):
             if (request.orders is not state.orders
                     and request.orders.orders != state.orders.orders):
                 raise ValueError(f"{where}: request is on orders other than the header's")
-        tail = advance(request)
+        [(_, tail)] = advance(request, 1)
         for key, expected in tail.items():
             logged = _read(where, record, key)
             if not exact(logged, expected):

@@ -21,6 +21,7 @@ from rdpmeter.odometers import (
     new_odometer,
     running_bound,
     spend,
+    spend_run,
     truncate,
 )
 
@@ -290,6 +291,49 @@ def test_spend_matches_the_per_query_reference_bit_for_bit(data):
         assert hexes(state._spent) == hexes(ref._spent)
         if budget == 0:
             break
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_run_matches_k_spends_bit_for_bit(data):
+    # spend_run(state, request, k) against k calls of spend on a twin: the
+    # positions of rung moves with the rungs and bound after each, and
+    # the state after the run, also where a spend past the top rung
+    # raises; the totals are read after some runs only
+    orders, delta = data.draw(st.sampled_from([
+        (OrderSet([2.0]), DELTA),
+        (OrderSet([1.5, 3.0, 6.0, 12.0]), 0.05),
+        (OrderSet([2.0, 1.7e308]), 0.5),
+    ]))
+    state, twin = new_odometer(delta, orders), new_odometer(delta, orders)
+    base = state.schedule._base
+    pool = [
+        RdpCurve(orders, tuple(data.draw(_LEVEL_FRACTIONS) * b for b in base))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+    ]
+    budget = 3000  # spends per example
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        request = data.draw(st.sampled_from(pool))
+        k = min(budget, data.draw(st.sampled_from([0, 1, 2, 3, 17, 300, 2000])))
+        budget -= k
+        moves = []
+        try:
+            for position in range(k):
+                bound = twin._bound
+                spend(twin, request)
+                if twin._bound is not bound:
+                    moves.append((position, list(twin._f), twin._bound))
+        except ValueError:
+            with pytest.raises(ValueError):
+                spend_run(state, request, k)
+        else:
+            assert [(p, list(f), b) for p, f, b in spend_run(state, request, k)] == moves
+        assert state._f == twin._f and state._levels == twin._levels
+        assert running_bound(state) == running_bound(twin)
+        assert state.step == twin.step
+        if data.draw(st.booleans()):
+            assert hexes(state._spent) == hexes(twin._spent)
+    assert hexes(state._spent) == hexes(twin._spent)
 
 
 # what a caller may read between spends: each must see the totals the

@@ -141,6 +141,30 @@ def test_depth_cap_enforced():
         AdversaryScript(root=node)
 
 
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 600])
+def test_a_script_too_deep_is_refused_while_loading(depth):
+    # a chain of one-outcome nodes built in Python: json's own depth limit
+    # never sees it, so the loader's recursion must stop at the supported
+    # depth
+    null = DiscreteMechanism(("x",), (1.0,), (1.0,))
+    mech = script_to_json(AdversaryScript(root=honest_node(null)))["mech"]
+    node = {"mech": mech, "request": {"eps": [0.0, 0.0, 0.0]}}
+    for _ in range(depth - 1):
+        node = {"mech": mech, "request": {"eps": [0.0, 0.0, 0.0]}, "children": {"x": node}}
+    node["request"]["orders"] = list(ORDERS)
+    with pytest.raises(ValueError) as info:
+        script_from_json(node)
+    assert str(info.value) == f"script deeper than the supported maximum {MAX_DEPTH}"
+
+
+def test_a_script_at_the_supported_depth_loads():
+    node = honest_node(rr(0.6))
+    for _ in range(MAX_DEPTH - 1):
+        node = honest_node(rr(0.6), children={"a": node})
+    script = AdversaryScript(root=node)
+    assert script_from_json(json.loads(json.dumps(script_to_json(script)))) == script
+
+
 def test_outcome_cap_and_reserved_label_enforced():
     n = MAX_OUTCOMES + 1
     mech = DiscreteMechanism(

@@ -50,37 +50,59 @@ def test_session_log_keeps_its_method_kinds():
 
 def test_every_filter_decision_goes_through_try_spend(monkeypatch):
     # filters.try_spend.calls counts what the tracer sees through these two
-    # names; a session loop that decided admission inline would read 0
+    # names. A session decides a schedule step in one try_spend_run, which
+    # counts a window's sends at once and calls try_spend for every send no
+    # window covers: so its calls are exactly the full decisions of the
+    # same sends made one call each, and a session loop that decided
+    # admission inline would read 0
     from rdpmeter import filters, harness
     from rdpmeter.core import default_order_set
-    from rdpmeter.mechanisms import GaussianMechanism
+    from rdpmeter.mechanisms import GaussianMechanism, mechanism_rdp_curve
 
-    calls = []
+    windowed = []  # per call: whether a window covered the send
     original = filters.try_spend
 
     def counted(state, request):
-        # 1 for a send a window counted without per-order work, else 0
-        pending = state._pending
-        decision = original(state, request)
-        calls.append(int(state._pending > pending))
-        return decision
+        windowed.append(
+            request is state._last and state.cap is state._last_cap and state._safe != 0
+        )
+        return original(state, request)
 
     monkeypatch.setattr(filters, "try_spend", counted)
     monkeypatch.setattr(harness, "try_spend", counted)
+    # the cap binds in the first step, the second is PASSed whole, and the
+    # third's smaller request is GRANTed again until the cap binds again
+    steps = ((GaussianMechanism(5.0), 250), (GaussianMechanism(2.0), 250),
+             (GaussianMechanism(50.0), 250))
     config = harness.SessionConfig(
         mode=harness.FILTER,
         orders=default_order_set(),
         delta=1e-5,
         seed=0,
         source=harness.ScheduleReplay(
-            steps=(harness.ScheduleStep(GaussianMechanism(2.0), 250),)
+            steps=tuple(harness.ScheduleStep(m, c) for m, c in steps)
         ),
         dp_target=8.0,
     )
     log = harness.run_session(config)
-    assert len(calls) == 250 and sum(calls) > 0
-    harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
-    assert len(calls) == 500 and sum(calls[250:]) == sum(calls[:250])
+    session = list(windowed)
+    assert session and not any(session)
+    decisions = [r["decision"] for r in log.events]
+    assert "PASS" in decisions[:250] and "GRANT" in decisions[500:]
+
+    windowed.clear()
+    state = filters.new_filter_from_dp_target(8.0, 1e-5, config.orders)
+    for mech, count in steps:
+        request = mechanism_rdp_curve(mech, config.orders)
+        for _ in range(count):
+            filters.try_spend(state, request)
+    assert len(windowed) == 750 and windowed.count(False) == len(session)
+    assert state == log.final_state
+
+    windowed.clear()
+    replayed = harness.reconstruct(harness.SessionLog.from_jsonl(log.to_jsonl()))
+    assert windowed == session
+    assert replayed == log.final_state
 
 
 def test_every_odometer_step_goes_through_spend(monkeypatch):
