@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+import warnings
 from typing import Optional
 
 from rdpmeter.core import (
@@ -543,6 +544,11 @@ def _overview() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a library warning as one line, like an error."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -562,7 +568,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser = _Parser(prog="rdpmeter " + " ".join(path))
             add_flags(parser)
             args = parser.parse_args(argv[len(path):])
-        return handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -80,11 +80,10 @@ class _Totals:
     _last is the request object last decided in full, and _safe how many
     more sends of it the window certifies: a send of _last while _safe >
     0 is only counted, in _pending, with no per-order work. A filter's
-    window also needs the same cap object (_last_cap), and its _safe is
-    -1 after a PASS: a decision is a pure function of (spent, request,
-    cap), curves are frozen and a PASS changes none of the three, so the
-    same send is PASSed again in O(1). Any other send is decided in full
-    and may open a new window (`_certified_repeats` gives its length).
+    _safe is -1 after a PASS: a decision is a pure function of (spent,
+    request, cap), which a PASS leaves as they were, so the same send is
+    PASSed again in O(1). Any other send is decided in full and may open
+    a new window (`_certified_repeats` gives its length).
 
     _totals holds the sums added so far. Reading _spent first adds the
     pending sends, per order, as _pending sequential `s += r`: the same
@@ -130,28 +129,30 @@ class Decision(str, Enum):
         return self.value
 
 
-@dataclass
+@dataclass(init=False)
 class FilterState(_Totals):
     """Single-owner mutable accountant; try_spend calls must be serialized.
 
     Holds only what decisions depend on; the session log is the per-query
-    record. The repeat window (see `_Totals`) is not a field, so a state
-    compares equal to, and prints like, one that decided every send in
-    full: _spent reads the totals with the pending sends added.
+    record. cap and sealed are fixed when the state is built: both are
+    read-only. The repeat window (see `_Totals`) is not a field, so a
+    state compares equal to, and prints like, one that decided every send
+    in full: _spent reads the totals with the pending sends added.
     """
 
-    cap: RdpCurve
-    sealed: bool = False
+    cap: RdpCurve = property(operator.attrgetter("_cap"))
+    sealed: bool = property(operator.attrgetter("_sealed"))
     _spent: list[float] = field(init=False)
     _passed_once: bool = field(init=False, default=False)
-    _last_cap = None  # not a field: see `_Totals`
 
-    def __post_init__(self):
-        self._totals = [0.0] * len(self.cap.orders)
+    def __init__(self, cap: RdpCurve, sealed: bool = False):
+        self._cap = cap
+        self._sealed = sealed
+        self._totals = [0.0] * len(cap.orders)
 
     @property
     def orders(self) -> OrderSet:
-        return self.cap.orders
+        return self._cap.orders
 
 
 def new_filter(cap: RdpCurve, sealed: bool = False) -> FilterState:
@@ -172,16 +173,15 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
     PASS exactly when spent + request > cap at every order; the
     comparison is strict, so a request landing exactly on the cap is
     granted. PASS leaves spent bit-identical: the new totals are kept
-    only on GRANT. A repeat of the request last decided, under the same
-    cap object, is answered in O(1) while its window lasts (see
-    `_Totals`). A GRANT of the request object last granted opens a
-    window of n further GRANTs, n the max over orders of floor((cap *
-    (1 - 2**-29) - spent) / request) (see `_certified_repeats`); a PASS
-    opens an unbounded window of PASSes. Another request or cap object
-    ends a window.
+    only on GRANT. A repeat of the request last decided is answered in
+    O(1) while its window lasts (see `_Totals`). A GRANT of the request
+    object last granted opens a window of n further GRANTs, n the max
+    over orders of floor((cap * (1 - 2**-29) - spent) / request) (see
+    `_certified_repeats`); a PASS opens an unbounded window of PASSes.
+    Another request object ends a window.
     """
-    if request is state._last and state.cap is state._last_cap:
-        # _last passed the order-set and sealed checks under this cap
+    if request is state._last:
+        # _last passed the order-set and sealed checks
         safe = state._safe
         if safe > 0:
             state._safe = safe - 1
@@ -189,38 +189,44 @@ def try_spend(state: FilterState, request: RdpCurve) -> Decision:
             return Decision.GRANT
         if safe < 0:
             return Decision.PASS
-    cap = state.cap
+    cap = state._cap
     if request.orders is not cap.orders and request.orders.orders != cap.orders.orders:
         raise ValueError("request curve is defined over a different order set")
-    if state.sealed and state._passed_once:
+    if state._sealed and state._passed_once:
         return Decision.PASS
     new_spent = list(map(operator.add, state._spent, request.values))
     if any(map(operator.le, new_spent, cap.values)):
         state._totals = new_spent
-        if request is state._last and cap is state._last_cap:
+        if request is state._last:
             # here _safe == 0: a negative count would have PASSed above
             state._safe = _certified_repeats(new_spent, request.values, cap.values, max)
         else:
             state._last = request
-            state._last_cap = cap
             state._safe = 0
         return Decision.GRANT
     # reading _spent above added any pending sends of the old _last
     state._passed_once = True
     state._last = request
-    state._last_cap = cap
     state._safe = -1
     return Decision.PASS
+
+
+def _run_length(k: int) -> int:
+    """k as the length of a run: an int >= 0, and not a bool."""
+    n = operator.index(k)
+    if n < 0 or isinstance(k, bool):
+        raise ValueError(f"run length k must be an integer >= 0, got {k!r}")
+    return n
 
 
 def try_spend_run(state: FilterState, request: RdpCurve, k: int) -> int:
     """Send request k times and return g, the number granted: the first g
     GRANT, the rest PASS. The state ends as after k `try_spend` calls, which
     this makes for every send but those a window counts, counted at once."""
-    k = operator.index(k)
+    k = _run_length(k)
     g = 0
     while g < k:
-        if request is state._last and state.cap is state._last_cap and state._safe:
+        if request is state._last and state._safe:
             if state._safe < 0:
                 break
             n = min(state._safe, k - g)

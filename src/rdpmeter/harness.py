@@ -57,7 +57,6 @@ from rdpmeter.odometers import (
     RunningBound,
     new_odometer,
     running_bound,
-    spend,  # not called here; kept so that harness.spend still resolves
     spend_run,
 )
 from rdpmeter.oracle import BOTTOM, AdversaryScript

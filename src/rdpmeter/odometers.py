@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from rdpmeter.core import DpGuarantee, OrderSet, RdpCurve, _check_delta
-from rdpmeter.filters import _certified_repeats, _Totals
+from rdpmeter.filters import _certified_repeats, _run_length, _Totals
 
 MAX_FILTER_INDEX = 64
 
@@ -112,8 +112,10 @@ class OdometerState(_Totals):
     the session log is the per-query record. `spend` is the only writer.
     """
 
+    schedule = property(operator.attrgetter("_schedule"))  # fixed when built
+
     def __init__(self, schedule: FilterSchedule):
-        self.schedule = schedule
+        self._schedule = schedule
         self._totals = [0.0] * len(schedule.orders)
         self._f = [1] * len(schedule.orders)
         self._levels = list(schedule._base)  # level(1, alpha) is the base
@@ -122,7 +124,7 @@ class OdometerState(_Totals):
 
     @property
     def orders(self) -> OrderSet:
-        return self.schedule.orders
+        return self._schedule.orders
 
 
 def new_odometer(delta: float, orders: OrderSet) -> OdometerState:
@@ -149,7 +151,7 @@ def spend(state: OdometerState, request: RdpCurve) -> OdometerState:
         state._pending += 1
         state.step += 1
         return state
-    schedule = state.schedule
+    schedule = state._schedule
     if request.orders is not schedule.orders and (
         request.orders.orders != schedule.orders.orders
     ):
@@ -185,6 +187,7 @@ def spend_run(state: OdometerState, request: RdpCurve, k: int) -> list[tuple]:
     """Spend request k times, one `spend` each; return (position from 0,
     rungs, bound after it) for each spend that moved a rung. A spend that
     raises stops the run; the spends before it stand."""
+    k = _run_length(k)
     moves = []
     bound = state._bound
     for position in range(k):

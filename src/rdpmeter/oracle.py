@@ -22,6 +22,7 @@ import sys
 from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 from operator import add, lt, mul, sub
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from rdpmeter.core import OrderSet, RdpCurve, _object, _read_curve
@@ -51,7 +52,8 @@ class ScriptNode:
     follow-up move for every outcome the adversary might observe.
 
     Missing children (including the null outcome) mean the adversary
-    stops after seeing that outcome.
+    stops after seeing that outcome. children is a read-only copy, so a
+    script stays as its validation saw it.
     """
 
     mech: DiscreteMechanism
@@ -59,7 +61,11 @@ class ScriptNode:
     children: Mapping[str, Optional["ScriptNode"]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "children", dict(self.children))
+        object.__setattr__(self, "children", MappingProxyType(dict(self.children)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled: rebuild from a plain dict
+        return ScriptNode, (self.mech, self.request, dict(self.children))
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,23 @@ class TestFilterCommand:
         assert records[0]["dp_target"] == 8.0
         assert len(records) == 4
 
+    def test_a_library_warning_prints_as_one_line(self, files, capsys):
+        code, out, err = run(
+            [
+                "filter",
+                "--dp-target", "1e-9",
+                "--delta", "1e-5",
+                "--schedule", files["sched.json"],
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert err == (
+            "warning: DP target 1e-09 is below the conversion floor at every "
+            "tracked order; the resulting budget is identically zero\n"
+        )
+        assert len(out.splitlines()) == 4  # the header and three PASSes
+
     def test_csv_format(self, files, capsys):
         code, out, _ = run(
             [

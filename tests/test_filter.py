@@ -105,13 +105,12 @@ def test_failed_try_spend_leaves_the_state_unchanged(passed_once):
             hexes(f._totals),
             f._passed_once,
             id(f._last),
-            id(f._last_cap),
             f._safe,
             f._pending,
         )
 
     before = snapshot()
-    assert before[4:] == ((-1, 0) if passed_once else (4, 1))
+    assert before[3:] == ((-1, 0) if passed_once else (4, 1))
     with pytest.raises(ValueError, match="different order set"):
         try_spend(f, RdpCurve.from_mapping({2.0: 0.1, 4.0: 0.1}))
     assert snapshot() == before
@@ -147,22 +146,6 @@ def test_a_grant_forgets_the_last_denial():
     assert try_spend(f, large) is Decision.PASS
     assert CountingCurve.reads > reads
     assert f.spent.value(2.0) == 0.5
-
-
-def test_a_new_cap_object_does_not_reuse_the_last_denial():
-    f = new_filter(curve(a2=1.0, a4=1.0))
-    request = curve(a2=0.75, a4=1.5)
-    assert try_spend(f, curve(a2=0.5, a4=0.0)) is Decision.GRANT
-    assert try_spend(f, request) is Decision.PASS
-    f.cap = RdpCurve(f.orders, (1.25, 1.0))
-    assert try_spend(f, request) is Decision.GRANT
-    assert f.spent.values == (1.25, 1.5)
-    # an equal cap in a new object: tested in full, denied again
-    f.cap = RdpCurve(f.orders, (1.25, 1.0))
-    assert try_spend(f, request) is Decision.PASS
-    f.cap = RdpCurve(f.orders, (1.25, 1.0))
-    assert try_spend(f, request) is Decision.PASS
-    assert f.spent.values == (1.25, 1.5)
 
 
 def test_sealed_filter_denies_everything_after_first_pass():
@@ -293,12 +276,6 @@ def test_try_spend_matches_the_reference_bit_for_bit(data):
     passed = None  # the request object the reference last PASSed
     budget = 3000  # sends per example
     for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
-        if data.draw(st.integers(min_value=0, max_value=9)) == 0:
-            # a new cap object, equal or not, under both
-            values = cap.values if data.draw(st.booleans()) else tuple(
-                data.draw(_CAPS) for _ in range(n_orders)
-            )
-            cap = f.cap = ref.cap = RdpCurve(orders, values)
         if sent and data.draw(st.booleans()):
             # the same object again: the last one, which repeats a PASS or
             # a GRANT (a window), the one last PASSed, whose window a GRANT
@@ -392,6 +369,24 @@ def test_a_run_is_decided_in_full_only_where_no_window_counts(monkeypatch):
     assert try_spend_run(f, request, 5) == 0 and len(calls) <= 10
 
 
+@pytest.mark.parametrize("k", [-3, -1, True, False])
+def test_a_run_of_negative_or_bool_length_is_refused(k):
+    f = new_filter(curve(a2=100.0, a4=100.0))
+    request = curve(a2=0.5, a4=0.25)
+    assert try_spend_run(f, request, 3) == 3  # a window is open, a send pending
+    assert f._safe > 0 and f._pending == 1
+
+    def snapshot():
+        return (hexes(f._totals), f._passed_once, f._last, f._safe, f._pending)
+
+    before = snapshot()
+    with pytest.raises(ValueError, match=f"run length k .*got {k!r}$"):
+        try_spend_run(f, request, k)
+    assert snapshot() == before
+    assert try_spend_run(f, request, 0) == 0
+    assert snapshot() == before
+
+
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 def test_a_window_ends_where_the_full_test_does(ulps):
     # the k-th repeat lands one ulp below, on or one ulp above the cap
@@ -457,35 +452,16 @@ def test_pending_sends_compare_equal_and_print_like_added_ones():
     assert f != g
 
 
-def test_a_new_cap_object_ends_the_window():
+def test_a_pass_of_another_object_ends_a_window_of_grants():
     f = new_filter(curve(a2=100.0))
     request = CountingCurve(f.orders, (1.0,))
     for _ in range(10):
         assert try_spend(f, request) is Decision.GRANT
-    reads = CountingCurve.reads
-    # the window was certified under the old cap; under the new one the
-    # next send is tested in full and no longer fits
-    f.cap = curve(a2=10.5)
-    assert try_spend(f, request) is Decision.PASS
-    assert CountingCurve.reads > reads
-    assert f.spent.values == (10.0,)
-    # the PASS opened a window of PASSes, which a new cap object ends,
-    # an equal one too
-    reads = CountingCurve.reads
-    assert try_spend(f, request) is Decision.PASS
-    assert CountingCurve.reads == reads
-    f.cap = curve(a2=10.5)
-    assert try_spend(f, request) is Decision.PASS
-    assert CountingCurve.reads > reads
-    # a PASS of another object ends a window of GRANTs
-    f.cap = curve(a2=100.0)
-    for _ in range(10):
-        try_spend(f, request)
     assert try_spend(f, curve(a2=500.0)) is Decision.PASS
     reads = CountingCurve.reads
     assert try_spend(f, request) is Decision.GRANT
     assert CountingCurve.reads > reads
-    assert f.spent.values == (repeat_sum(0.0, 1.0, 21),)
+    assert f.spent.values == (repeat_sum(0.0, 1.0, 11),)
 
 
 def _send(f, ref, request, times):
@@ -523,22 +499,6 @@ def test_a_sealed_filters_repeated_pass_matches_the_reference():
     assert _send(f, ref, small, 3) == [PASS] * 3
     assert _send(f, ref, large, 2) == [PASS] * 2
     assert f.spent.values == (0.5,)
-
-
-def test_a_cap_reassigned_after_a_pass_matches_the_reference():
-    orders = OrderSet([2.0, 4.0])
-    f, ref = new_filter(curve(a2=1.0, a4=1.0)), new_filter(curve(a2=1.0, a4=1.0))
-    request = RdpCurve(orders, (0.75, 1.5))
-    assert _send(f, ref, RdpCurve(orders, (0.5, 0.0)), 1) == [GRANT]
-    assert _send(f, ref, request, 2) == [PASS] * 2
-    f.cap = ref.cap = RdpCurve(orders, (1.25, 1.0))
-    assert _send(f, ref, request, 2) == [GRANT, PASS]
-    # the same cap object again keeps the window; a larger one ends it
-    f.cap = ref.cap = f.cap
-    assert _send(f, ref, request, 1) == [PASS]
-    f.cap = ref.cap = RdpCurve(orders, (5.0, 5.0))
-    assert _send(f, ref, request, 6) == [GRANT] * 5 + [PASS]
-    assert f.spent.values == (5.0, 9.0)
 
 
 def test_safety_under_ten_thousand_random_requests():

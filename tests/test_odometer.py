@@ -594,6 +594,28 @@ def test_a_repeat_past_rung_64_raises_and_keeps_its_window():
         assert _snapshot(state) == before
 
 
+@pytest.mark.parametrize("k", [-3, -1, True, False])
+def test_a_run_of_negative_or_bool_length_is_refused(k):
+    orders = OrderSet([2.0, 32.0])
+    state = new_odometer(DELTA, orders)
+    request = curve(orders, 0.01, 0.02)
+    spend_run(state, request, 3)  # a window is open, a spend pending
+    assert state._safe > 0 and state._pending == 1
+
+    def snapshot():
+        return (
+            hexes(state._totals), state._pending, list(state._f),
+            running_bound(state), state.step, state._last, state._safe,
+        )
+
+    before = snapshot()
+    with pytest.raises(ValueError, match=f"run length k .*got {k!r}$"):
+        spend_run(state, request, k)
+    assert snapshot() == before
+    assert spend_run(state, request, 0) == []
+    assert snapshot() == before
+
+
 def test_bound_ties_break_to_smallest_order():
     # Two copies of the same order cannot exist; instead exercise the tie
     # path with a symmetric two-order schedule where candidates differ,
