@@ -17,7 +17,8 @@ the state keeps one window on the request object last decided in full
 (see `_Totals`).
 
 This module also holds the window machinery the odometer shares: the
-certified count, with the proof that it is sound, and the deferred sums.
+certified count and the deferred sums, each with the proof that it is
+sound.
 """
 
 import math
@@ -72,6 +73,65 @@ def _certified_repeats(
     return int(min(max(n, 0.0), _MAX_SAFE))
 
 
+# where the deferred sums take `_add_repeated` rather than k float adds per
+# order: a window of at least _CLOSED_MIN sends whose sum stays within
+# about one binade of its start, or one of at least _CLOSED_ANY sends from
+# anywhere (the crossovers measured in README.md, "Deferred sums")
+_CLOSED_MIN = 64
+_CLOSED_ANY = 512
+_NORMAL = 2.0**-1022
+_LOW_TOP = 2.0**-1021
+_HUGE = 2.0**1023
+
+
+def _add_repeated(s: float, r: float, k: int) -> float:
+    """k sequential `s += r`, bit for bit, in O(binades crossed) rather
+    than O(k), for 0 <= r < inf and 0 <= s <= inf.
+
+    Take s's binade [top/2, top), or [0, 2**-1021) if s is subnormal, and
+    u = top * 2**-53: the floats there are exactly the multiples of u.
+    Write r = q*u + p with 0 <= p < u. A step from a multiple of u whose
+    exact sum lands below top rounds it to the nearest multiple of u,
+    ties to even multiples. If p != u/2 the step adds round(r/u)*u
+    whatever the start. If p == u/2 (a tie) it adds q*u or (q+1)*u,
+    whichever ends on an even multiple; so after one step that starts
+    and ends in the binade the multiple is even, and from there every
+    step adds the same d, q*u for even q and (q+1)*u for odd q. Hence
+    once two consecutive steps start and end in the binade, every later
+    step adds the second one's d while it stays there. From its end t
+    the next j steps give t + j*d, where j = floor((top - u - t) / d)
+    counts those that end at most top - u: such a step's exact sum is
+    within u/2 of its end, so below top, and was rounded on the grid u.
+    All of it is exact: t - s, top - u - t, j*d and t + j*d are
+    multiples of u in [0, top), so floats, and the floor division of two
+    multiples of u with a quotient below 2**53 is exact. Below 2**-1021
+    every sum is exact and d = r.
+
+    The steps at a binade's edge, and those from s >= 2**1023 (whose top
+    is not a float), are single steps. A step that adds nothing leaves s
+    as it was, so every later one adds nothing too: that returns at
+    once, as s = inf does.
+    """
+    while k > 0:
+        t = s + r
+        k -= 1
+        if t == s:
+            return s
+        if k and s < _HUGE:
+            top = math.ldexp(1.0, math.frexp(s)[1]) if s >= _NORMAL else _LOW_TOP
+            s, t = t, t + r
+            k -= 1
+            if t < top:  # so both steps start and end in the binade
+                d = t - s
+                if not d:
+                    return t
+                j = min(k, int((top - top * 2.0**-53 - t) // d))
+                t += j * d
+                k -= j
+        s = t
+    return s
+
+
 class _Totals:
     """Per-order running totals, with the window both accountants keep on
     a repeated request.
@@ -88,7 +148,9 @@ class _Totals:
     _totals holds the sums added so far. Reading _spent first adds the
     pending sends, per order, as _pending sequential `s += r`: the same
     float additions in the same order as one new list per send, so every
-    read gives the totals bit for bit.
+    read gives the totals bit for bit. Where it pays, an order's sum is
+    taken in closed form by `_add_repeated`, whose docstring proves it
+    equal to the loop.
     """
 
     _last: Optional[RdpCurve] = None
@@ -110,11 +172,15 @@ class _Totals:
                     totals = list(map(operator.add, totals, request))
             else:
                 # one tight loop per order costs about half as much per
-                # send as a new list per send
+                # send as a new list per send, and the closed form less
+                # again where it pays
                 totals = []
                 for s, r in zip(self._totals, request):
-                    for _ in repeat(None, k):
-                        s += r
+                    if k >= _CLOSED_ANY or k >= _CLOSED_MIN and k * r <= s:
+                        s = _add_repeated(s, r, k)
+                    else:
+                        for _ in repeat(None, k):
+                            s += r
                     totals.append(s)
             self._totals = totals
             self._pending = 0

@@ -349,9 +349,10 @@ def _stepper(state: Union[FilterState, OdometerState]) -> Callable[[RdpCurve, in
 
         return filter_step
 
+    keys = [repr(a) for a in state.orders]
+
     def build(rungs: list[int], bound: RunningBound) -> dict:
-        f_per_alpha = {repr(a): f for a, f in zip(state.orders, rungs)}
-        return {"f_per_alpha": f_per_alpha, "bound": _bound_to_json(bound)}
+        return {"f_per_alpha": dict(zip(keys, rungs)), "bound": _bound_to_json(bound)}
 
     def odometer_step(request: RdpCurve, k: int) -> list[tuple[int, dict]]:
         nonlocal tail
@@ -422,7 +423,7 @@ def run_session(config: SessionConfig) -> SessionLog:
             # the run's records in one join: '{"i": ' + n + end each
             end = f", {tail_json}}}\n"
             numbers = [first, *map(str, range(n + 1, n + count))]
-            lines.append('{"i": ' + (end + '{"i": ').join(numbers) + end)
+            lines.append("".join(('{"i": ', (end + '{"i": ').join(numbers), end)))
             n += count
         return tail
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from windows import CountingCurve, drifting_run, hexes, repeat_sum
 
+from rdpmeter import filters
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp
 from rdpmeter.filters import (
     Decision,
@@ -450,6 +451,33 @@ def test_pending_sends_compare_equal_and_print_like_added_ones():
     assert f == g
     try_spend(f, request)
     assert f != g
+
+
+@pytest.mark.parametrize("every", [200, 1500])
+@pytest.mark.parametrize("start", [0.0, 40.0])
+def test_long_windows_read_like_a_per_call_twin(start, every, monkeypatch):
+    # windows of 200 and 1,500 sends, read from zero and from mid-session,
+    # so their sums take both the loop and `_add_repeated`; at order 8 the
+    # request is a tie on the grid of [32, 64)
+    closed, real = [], filters._add_repeated
+
+    def counted(s, r, k):
+        closed.append(k)
+        return real(s, r, k)
+
+    monkeypatch.setattr(filters, "_add_repeated", counted)
+    cap = curve(a2=1000.0, a4=1000.0, a8=1000.0)
+    f, ref = new_filter(cap), new_filter(cap)
+    if start:
+        for state in (f, ref):
+            try_spend(state, curve(a2=start, a4=start, a8=start))
+    request = curve(a2=0.01, a4=0.03, a8=1.5 * math.ulp(40.0))
+    for n in range(1, 3 * every + 1):
+        assert try_spend(f, request) is _reference_try_spend(ref, request)
+        if n % every == 0:
+            assert f._pending >= every - 2
+            assert hexes(f.spent.values) == hexes(ref.spent.values)
+    assert closed
 
 
 def test_a_pass_of_another_object_ends_a_window_of_grants():

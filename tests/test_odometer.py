@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from windows import CountingCurve, drifting_run, hexes, repeat_sum
 
-from rdpmeter import odometers
+from rdpmeter import filters, odometers
 from rdpmeter.core import OrderSet, RdpCurve, default_order_set, rdp_to_dp
 from rdpmeter.harness import ScheduleReplay, ScheduleStep, SessionConfig, run_session
 from rdpmeter.mechanisms import GaussianMechanism
@@ -399,6 +399,38 @@ def test_pending_spends_read_like_added_ones():
     assert bound_candidates(state) == bound_candidates(added)
     assert repr(state.spent) == repr(added.spent)
     assert state.spent == added.spent and state.step == added.step
+
+
+@pytest.mark.parametrize("every", [200, 1500])
+@pytest.mark.parametrize("mid_session", [False, True])
+def test_long_windows_read_like_a_per_call_twin(mid_session, every, monkeypatch):
+    # windows of 200 and 1,500 spends, read from zero and from mid-session,
+    # so their sums take both the loop and `_add_repeated`; at order 8 the
+    # request is a tie on the grid of the start's binade
+    closed, real = [], filters._add_repeated
+
+    def counted(s, r, k):
+        closed.append(k)
+        return real(s, r, k)
+
+    monkeypatch.setattr(filters, "_add_repeated", counted)
+    orders = OrderSet([2.0, 4.0, 8.0])
+    state, ref = new_odometer(DELTA, orders), new_odometer(DELTA, orders)
+    base = [state.schedule.level(1, a) for a in orders]
+    start = curve(orders, *(b / 4 for b in base))
+    if mid_session:
+        for s in (state, ref):
+            spend(s, start)
+    tie = 1.5 * math.ulp(start.values[2])
+    request = curve(orders, base[0] / 20_000, base[1] / 20_000, tie)
+    for n in range(1, 3 * every + 1):
+        spend(state, request)
+        _reference_spend(ref, request)
+        if n % every == 0:
+            assert state._pending >= every - 2
+            assert hexes(state.spent.values) == hexes(ref.spent.values)
+            assert state._f == ref._f and bound_candidates(state) == bound_candidates(ref)
+    assert closed
 
 
 def test_a_long_run_of_one_request_sets_a_window_once_per_climb(monkeypatch):
