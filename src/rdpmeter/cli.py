@@ -30,6 +30,7 @@ from rdpmeter.harness import (
     PolicySpec,
     ScheduleReplay,
     SessionConfig,
+    _write_file,
     format_log,
     replay_schedule,
     run_session,
@@ -95,8 +96,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
     else:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_file(out, text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc}") from exc
 

@@ -14,10 +14,13 @@ numbering, decisions and bounds, so a log that replays cleanly is
 internally consistent.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, fields
 from numbers import Real
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -703,11 +706,33 @@ def export(log: SessionLog, fmt: str, path: str) -> str:
     """Write the log as JSONL ("json") or a flat table ("csv")."""
     payload = format_log(log, fmt)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        _write_file(path, payload)
     except OSError as exc:
         raise OSError(f"cannot write session log to {path}: {exc}") from exc
     return path
+
+
+def _write_file(path: str, text: str) -> None:
+    """Leave path as open(path, "w") and a write of text leave it: the
+    same bytes, inode and mode, links followed. An old regular file is
+    written over in place and shrunk only if it was longer (a truncate
+    costs more than the write). A failed write leaves the file empty
+    (best effort). No fsync."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(old.st_mode) and old.st_size > written:
+            os.ftruncate(fd, written)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def log_to_csv(log: SessionLog) -> str:

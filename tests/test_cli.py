@@ -7,12 +7,14 @@ import json
 import math
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from out_files import fail_midway, through_fifo
 
 import rdpmeter
 from rdpmeter.cli import _COMMANDS, _FlagTable, _Parser, main
@@ -301,20 +303,22 @@ class TestFilterCommand:
     @pytest.mark.parametrize("mode", ["filter", "odometer"])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_out_file_is_what_export_writes(self, files, capsys, mode, fmt):
-        # one writer: the CLI and export format a log through one switch
+        # one writer: the CLI and export format a log through one switch;
+        # the second round writes over the files the first one wrote
         argv = [mode, "--delta", "1e-5", "--schedule", files["sched.json"]]
         if mode == "filter":
             argv += ["--cap", files["cap.json"]]
-        out = os.path.join(files["tmp"], f"cli.{fmt}")
-        assert run(argv + ["--format", fmt, "--out", out], capsys)[0] == 0
-        jsonl = os.path.join(files["tmp"], "log.jsonl")
-        assert run(argv + ["--out", jsonl], capsys)[0] == 0
-        with open(jsonl, encoding="utf-8") as handle:
-            log = SessionLog.from_jsonl(handle.read())
-        again = os.path.join(files["tmp"], f"export.{fmt}")
-        export(log, fmt, again)
-        with open(out, "rb") as a, open(again, "rb") as b:
-            assert a.read() == b.read()
+        for _ in range(2):
+            out = os.path.join(files["tmp"], f"cli.{fmt}")
+            assert run(argv + ["--format", fmt, "--out", out], capsys)[0] == 0
+            jsonl = os.path.join(files["tmp"], "log.jsonl")
+            assert run(argv + ["--out", jsonl], capsys)[0] == 0
+            with open(jsonl, encoding="utf-8") as handle:
+                log = SessionLog.from_jsonl(handle.read())
+            again = os.path.join(files["tmp"], f"export.{fmt}")
+            export(log, fmt, again)
+            with open(out, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
 
     def test_delta_whose_log_overflows_is_a_validation_error(self, files, capsys):
         code, out, err = run(
@@ -725,6 +729,98 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "/no/such/dir" in err
+
+
+OUT_COMMANDS = {
+    "filter": lambda f: ["filter", "--cap", f["cap.json"], "--delta", "1e-5",
+                         "--schedule", f["sched.json"]],
+    "odometer": lambda f: ["odometer", "--delta", "1e-5", "--schedule", f["sched.json"]],
+    "convert": lambda f: ["convert", "--curve", f["curve.json"], "--delta", "1e-5"],
+    "verify-filter": lambda f: ["oracle", "verify-filter", "--script", f["script.json"],
+                                "--cap", f["cap.json"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+class TestOutFile:
+    """--out leaves what open(path, "w") leaves, written over in place."""
+
+    def _write(self, files, capsys, command, path):
+        code, out, err = run(OUT_COMMANDS[command](files) + ["--out", path], capsys)
+        assert (code, out, err) == (0, "", "")
+
+    def _expected(self, files, capsys, command):
+        path = os.path.join(files["tmp"], "fresh.out")
+        self._write(files, capsys, command, path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+    @pytest.mark.parametrize("size", ["longer", "same", "shorter"])
+    def test_rewrite_leaves_the_new_bytes_on_the_same_inode(
+        self, files, capsys, command, size
+    ):
+        want = self._expected(files, capsys, command)
+        old = {"longer": b"x" * (len(want) + 4096), "same": b"y" * len(want),
+               "shorter": b"z"}[size]
+        path = os.path.join(files["tmp"], "old.out")
+        with open(path, "wb") as handle:
+            handle.write(old)
+        inode = os.stat(path).st_ino
+        self._write(files, capsys, command, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == want
+        assert os.stat(path).st_ino == inode
+
+    def test_a_new_file_gets_the_umask_mode(self, files, capsys, command):
+        path = os.path.join(files["tmp"], "new.out")
+        mask = os.umask(0o027)
+        try:
+            self._write(files, capsys, command, path)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_links_are_followed(self, files, capsys, command):
+        want = self._expected(files, capsys, command)
+        target = os.path.join(files["tmp"], "target.out")
+        with open(target, "wb") as handle:
+            handle.write(b"x" * (len(want) + 4096))
+        symlink = os.path.join(files["tmp"], "symlink.out")
+        hardlink = os.path.join(files["tmp"], "hardlink.out")
+        os.symlink(target, symlink)
+        os.link(target, hardlink)
+        self._write(files, capsys, command, symlink)
+        assert os.path.islink(symlink)
+        for path in (target, hardlink):
+            with open(path, "rb") as handle:
+                assert handle.read() == want
+
+    def test_a_fifo_and_dev_null_work(self, files, capsys, command):
+        want = self._expected(files, capsys, command)
+        path = os.path.join(files["tmp"], "fifo.out")
+        got = through_fifo(path, lambda: self._write(files, capsys, command, path))
+        assert got == want
+        self._write(files, capsys, command, os.devnull)
+
+    def test_a_directory_is_one_line(self, files, capsys, command):
+        code, out, err = run(OUT_COMMANDS[command](files) + ["--out", files["tmp"]], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {files['tmp']}: ")
+        assert err.count("\n") == 1
+
+    def test_a_failed_write_is_one_line_and_leaves_an_empty_file(
+        self, files, capsys, monkeypatch, command
+    ):
+        path = os.path.join(files["tmp"], "old.out")
+        with open(path, "wb") as handle:
+            handle.write(b"an older and much longer output\n" * 100)
+        fail_midway(monkeypatch)
+        code, out, err = run(OUT_COMMANDS[command](files) + ["--out", path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == b""
 
 
 COMMAND_PATHS = [

@@ -2,12 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from log_formats import to_v1
+from out_files import fail_midway, through_fifo
 
 from rdpmeter.core import OrderSet, RdpCurve, curve_to_dp, default_order_set
 from rdpmeter.filters import Decision, FilterState, new_filter, try_spend
@@ -19,6 +22,7 @@ from rdpmeter.harness import (
     ScheduleStep,
     SessionConfig,
     SessionLog,
+    _write_file,
     export,
     log_to_csv,
     reconstruct,
@@ -1516,6 +1520,12 @@ class TestExport:
         assert str(got.value) == str(expected.value)
         assert len(str(got.value).splitlines()) == 1
         assert not path.exists()
+        # the text is formatted before the file is opened, so an old file
+        # keeps its bytes
+        path.write_bytes(b"an older log\n")
+        with pytest.raises(ValueError):
+            export(log, "csv", str(path))
+        assert path.read_bytes() == b"an older log\n"
 
     def test_unwritable_path_reports_the_path(self):
         log = self._filter_log()
@@ -1525,6 +1535,14 @@ class TestExport:
     def test_unknown_format_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             export(self._filter_log(), "parquet", str(tmp_path / "x"))
+
+    def test_a_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "session.jsonl"
+        path.write_bytes(b"an older and much longer log\n" * 100)
+        fail_midway(monkeypatch)
+        with pytest.raises(OSError, match="cannot write session log to"):
+            export(self._filter_log(), "json", str(path))
+        assert path.read_bytes() == b""
 
     def test_jsonl_parses_one_object_per_line(self):
         log = self._odometer_log()
@@ -1536,6 +1554,84 @@ class TestExport:
     def test_empty_jsonl_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             SessionLog.from_jsonl("")
+
+
+class TestWriteFile:
+    """_write_file leaves what open(path, "w") and one write leave, but
+    writes over an old file in place instead of truncating it first."""
+
+    TEXT = '{"eps": 1.5, "note": "\u03b5"}\n' * 8
+    DATA = TEXT.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "old",
+        [b"x" * 4096, b"y" * len(DATA), b"z", b""],
+        ids=["old-longer", "old-same-length", "old-shorter", "old-empty"],
+    )
+    def test_rewrite_leaves_the_new_bytes_on_the_same_inode(self, tmp_path, old):
+        path = tmp_path / "log"
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+        _write_file(str(path), self.TEXT)
+        assert path.read_bytes() == self.DATA
+        assert path.stat().st_ino == inode
+
+    def test_empty_text_empties_the_file(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(b"x" * 100)
+        _write_file(str(path), "")
+        assert path.read_bytes() == b""
+
+    def test_modes_are_those_open_gives(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            _write_file(str(tmp_path / "new"), self.TEXT)
+            with open(tmp_path / "reference", "w"):
+                pass
+        finally:
+            os.umask(mask)
+        mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+        assert mode == 0o666 & ~0o027
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        # an old file keeps its own mode
+        os.chmod(tmp_path / "new", 0o600)
+        _write_file(str(tmp_path / "new"), "x")
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o600
+
+    def test_a_symlink_is_written_through_and_stays_a_link(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"x" * 4096)
+        link.symlink_to(target)
+        _write_file(str(link), self.TEXT)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.DATA
+
+    def test_a_hard_link_shares_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "log", tmp_path / "other"
+        path.write_bytes(b"x" * 4096)
+        os.link(path, other)
+        _write_file(str(path), self.TEXT)
+        assert other.read_bytes() == self.DATA
+
+    def test_a_fifo_and_dev_null_take_the_text(self, tmp_path):
+        path = str(tmp_path / "fifo")
+        got = through_fifo(path, lambda: _write_file(path, self.TEXT))
+        assert got == self.DATA
+        _write_file(os.devnull, self.TEXT)
+
+    def test_a_directory_is_an_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            _write_file(str(tmp_path), self.TEXT)
+
+    @pytest.mark.parametrize("old", [b"x" * 4096, None], ids=["old-file", "new-file"])
+    def test_a_failed_write_leaves_an_empty_file(self, tmp_path, monkeypatch, old):
+        path = tmp_path / "log"
+        if old is not None:
+            path.write_bytes(old)
+        fail_midway(monkeypatch)
+        with pytest.raises(OSError):
+            _write_file(str(path), self.TEXT)
+        assert path.read_bytes() == b""
 
 
 @settings(max_examples=40, deadline=None)
