@@ -14,14 +14,18 @@ one in both worlds. Such a factor contributes nothing to any divergence,
 which is exactly why denied queries are free. After truncation every
 later output is deterministically null in both worlds, so the tail is
 collapsed into a single terminal null without changing any divergence.
+
+`enumerate_views` walks a script once per policy, so once per order
+under `TruncationPolicy`; `verify_truncated_odometer` gets the same
+views of every order from one walk.
 """
 
 import math
 import random
 import sys
 from dataclasses import InitVar, dataclass, field
-from itertools import repeat
-from operator import add, lt, mul, sub
+from itertools import compress, repeat
+from operator import add, gt, le, lt, mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
@@ -44,6 +48,7 @@ _BOTTOM_CHILD_PROB = 0.4
 _SLACK_PROB = 0.3
 
 _STOP = "STOP"
+_SUPPORTS_DIFFER = "view supports differ; the divergence is infinite"
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,9 @@ class TruncationPolicy:
     climb past the given schedule level.
 
     The level and the order's index are read once, when the policy is
-    built; requests must be on the schedule's orders, as
-    `verify_truncated_odometer` checks.
+    built; requests must be on the schedule's orders. This is the
+    per-order form of what `verify_truncated_odometer` checks for every
+    order in one walk, and the tests' reference for it.
     """
 
     schedule: FilterSchedule
@@ -224,13 +230,15 @@ def enumerate_views(
     out0: dict[tuple, float] = {}
     out1: dict[tuple, float] = {}
     _walk(script.root, 1.0, 1.0, (), policy.initial(), policy, out0, out1)
-    for world, out in (("0", out0), ("1", out1)):
-        total = math.fsum(out.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ArithmeticError(
-                f"world-{world} view probabilities sum to {total}"
-            )
+    _check_total("0", out0.values())
+    _check_total("1", out1.values())
     return ViewDistribution(out0), ViewDistribution(out1)
+
+
+def _check_total(world: str, probs) -> None:
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"world-{world} view probabilities sum to {total}")
 
 
 def _walk(node, prob0, prob1, prefix, carry, policy, out0, out1):
@@ -278,26 +286,47 @@ def _walk(node, prob0, prob1, prefix, carry, policy, out0, out1):
 def renyi_divergence_views(
     v0: ViewDistribution, v1: ViewDistribution, alpha: float
 ) -> float:
-    """Exact divergence of order alpha between two view distributions.
+    """Exact divergence of order alpha between two view distributions;
+    where a term or the sum passes the float range, it is computed in log
+    space (`_divergence`)."""
+    if alpha <= 1.0:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
+    return _divergence(*_aligned_logs(v0, v1), alpha)
+
+
+def _symmetric_divergence(v0, v1, alpha):
+    """The worse of the two directions at alpha, view by view: the form
+    the tests compare the one-walk checks with."""
+    return max(
+        renyi_divergence_views(v0, v1, alpha),
+        renyi_divergence_views(v1, v0, alpha),
+    )
+
+
+def _aligned_logs(v0: ViewDistribution, v1: ViewDistribution) -> tuple[list, list]:
+    """Both views' leaf logs, leaf by leaf in v0's order."""
+    logs0, logs1 = v0.logs, v1.logs
+    if logs0.keys() != logs1.keys():
+        raise ValueError(_SUPPORTS_DIFFER)
+    return list(logs0.values()), list(map(logs1.__getitem__, logs0))
+
+
+def _divergence(logs0: list, logs1: list, alpha: float) -> float:
+    """log(sum exp(alpha*l0 + (1-alpha)*l1)) / (alpha - 1) over aligned
+    leaf logs l0, l1, in C-level passes.
 
     Where a leaf's term or their sum passes the float range, the sum is
     redone as a max-shifted log-sum-exp of the terms' exponents; every
-    divergence the plain sum can hold keeps its bits."""
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    logs0, logs1 = v0.logs, v1.logs
-    if logs0.keys() != logs1.keys():
-        raise ValueError("view supports differ; the divergence is infinite")
+    divergence the plain sum can hold keeps its bits. fsum is exact and
+    max picks one value, so the order of the leaves does not matter."""
 
     def exponents():
-        # alpha*log p0 + (1-alpha)*log p1 per leaf, in C-level passes
         return map(
             add,
-            map(mul, repeat(alpha), logs0.values()),
-            map(mul, repeat(1.0 - alpha), map(logs1.__getitem__, logs0)),
+            map(mul, repeat(alpha), logs0),
+            map(mul, repeat(1.0 - alpha), logs1),
         )
 
-    # fsum is exact, so the order of the terms does not matter
     try:
         return math.log(math.fsum(map(math.exp, exponents()))) / (alpha - 1.0)
     except OverflowError:
@@ -305,13 +334,6 @@ def renyi_divergence_views(
         top = max(logs)
         total = math.fsum([math.exp(e - top) for e in logs])
         return (top + math.log(total)) / (alpha - 1.0)
-
-
-def _symmetric_divergence(v0, v1, alpha):
-    return max(
-        renyi_divergence_views(v0, v1, alpha),
-        renyi_divergence_views(v1, v0, alpha),
-    )
 
 
 # ------------------------------------------------------------ verification
@@ -355,8 +377,10 @@ def verify_filter_bound(script: AdversaryScript, cap: RdpCurve) -> OracleReport:
     if script.orders is not None and script.orders.orders != cap.orders.orders:
         raise ValueError("script and cap use different order sets")
     v0, v1 = enumerate_views(script, FilterPolicy(cap))
+    logs0, logs1 = _aligned_logs(v0, v1)
     divergences = tuple(
-        _symmetric_divergence(v0, v1, alpha) for alpha in cap.orders
+        max(_divergence(logs0, logs1, alpha), _divergence(logs1, logs0, alpha))
+        for alpha in cap.orders
     )
     margins = tuple(c - d for c, d in zip(cap.values, divergences))
     witness = next(
@@ -377,19 +401,45 @@ def verify_filter_bound(script: AdversaryScript, cap: RdpCurve) -> OracleReport:
 def verify_truncated_odometer(
     script: AdversaryScript, schedule: FilterSchedule, f: int
 ) -> OracleReport:
-    """Certify every order's truncated views against its own level."""
+    """Certify every order's truncated views against its own level.
+
+    One walk (`_truncated_leaves`) serves every order. An order's views
+    are the rows it keeps, picked by C-level passes, and get the checks
+    of `enumerate_views` and `renyi_divergence_views` in their order and
+    with their messages: each world's total, then equal supports. The
+    float operations are those of the per-order form, `enumerate_views`
+    under `TruncationPolicy`, so the reports are bit for bit its own.
+    """
     if (
         script.orders is not None
         and script.orders.orders != schedule.orders.orders
     ):
         raise ValueError("script and schedule use different order sets")
+    levels = [schedule.level(f, alpha) for alpha in schedule.orders]
+    rows = []
+    start, every = [0.0] * len(levels), [True] * len(levels)
+    _truncated_leaves(script.root, 1.0, 1.0, start, every, levels, rows)
+    # a deep path's probability can underflow to 0: a leaf at 0 in both
+    # worlds is in neither view, and one at 0 in one world only makes the
+    # supports of each order that keeps it differ. Its log 0.0 stands in
+    # for the missing one, as that order raises before its divergence.
+    rows = [row for row in rows if row[0] or row[1]]
+    lopsided = [mask for p0, p1, mask in rows if not (p0 and p1)]
+    probs0, probs1, kept = zip(*rows)
+    logs0 = [math.log(p) if p else 0.0 for p in probs0]
+    logs1 = [math.log(p) if p else 0.0 for p in probs1]
     divergences = []
-    bounds = []
-    for alpha in schedule.orders:
-        v0, v1 = enumerate_views(script, TruncationPolicy(schedule, f, alpha))
-        divergences.append(_symmetric_divergence(v0, v1, alpha))
-        bounds.append(schedule.level(f, alpha))
-    margins = tuple(b - d for b, d in zip(bounds, divergences))
+    for i, (alpha, column) in enumerate(zip(schedule.orders, zip(*kept))):
+        _check_total("0", compress(probs0, column))
+        _check_total("1", compress(probs1, column))
+        if any(mask[i] for mask in lopsided):
+            raise ValueError(_SUPPORTS_DIFFER)
+        l0 = list(compress(logs0, column))
+        l1 = list(compress(logs1, column))
+        divergences.append(
+            max(_divergence(l0, l1, alpha), _divergence(l1, l0, alpha))
+        )
+    margins = tuple(b - d for b, d in zip(levels, divergences))
     ok = all(m >= -VERIFY_TOL for m in margins)
     witness = next(
         (a for a, m in zip(schedule.orders, margins) if m >= -VERIFY_TOL), None
@@ -399,11 +449,45 @@ def verify_truncated_odometer(
         ok=ok,
         orders=schedule.orders.orders,
         divergences=tuple(divergences),
-        bounds=tuple(bounds),
+        bounds=tuple(levels),
         margins=margins,
         witness_order=witness,
         requirement="all",
     )
+
+
+def _truncated_leaves(node, prob0, prob1, below, reached, levels, rows):
+    """Append a row (prob0, prob1, kept) per leaf below node in every
+    order's truncated view tree; kept[i] is whether order i holds it. A
+    node None is where the adversary stops, a leaf of its own.
+
+    below is each order's total before node, reached whether the order
+    gets to node. below + request is the total `TruncationPolicy`
+    admits with; an order reached but not admitted stops here, in a
+    null leaf, and no subtree is walked that no order is admitted into.
+    Request values are finite and >= 0, so totals never fall: an order
+    admitted at node was admitted above it. No two leaves merge, as
+    `_walk`'s may: the null label is reserved, and truncation never
+    passes, so no path goes on after a null.
+    """
+    if node is None:
+        rows.append((prob0, prob1, reached))
+        return
+    here = list(map(add, below, node.request.values))
+    admitted = list(map(le, here, levels))
+    stopped = list(map(gt, reached, admitted))  # reached and not admitted
+    if any(stopped):
+        rows.append((prob0, prob1, stopped))
+    if not any(admitted):
+        return
+    mech = node.mech
+    children = node.children
+    for label, q0, q1 in zip(mech.outcomes, mech.p0, mech.p1):
+        if q0 == 0.0:
+            continue  # shared support: q1 is 0 too, the branch never occurs
+        _truncated_leaves(
+            children.get(label), prob0 * q0, prob1 * q1, here, admitted, levels, rows
+        )
 
 
 # -------------------------------------------------------------- quadrature

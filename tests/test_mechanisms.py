@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import random
 import re
 from decimal import Decimal
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rdpmeter import mechanisms
 from rdpmeter.core import (
     OrderSet,
     RdpCurve,
@@ -358,6 +360,39 @@ def test_discrete_curve_matches_per_order_reference(m, orders):
 def test_orders_past_the_float_range_are_computed_in_log_space(m, orders):
     assert None in _reference_curve(m, orders)
     _assert_matches_reference(m, orders)
+
+
+def _spread_mechanism(rng, n):
+    """n outcomes, each weight from 1e-9 to 1 on a log scale; with more
+    than one outcome, one may be 0 in both worlds."""
+    zero = rng.randrange(n) if n > 1 and rng.random() < 0.3 else None
+    weights = [
+        [0.0 if i == zero else 10.0 ** rng.uniform(-9.0, 0.0) for i in range(n)]
+        for _ in "01"
+    ]
+    p0, p1 = ([w / math.fsum(ws) for w in ws] for ws in weights)
+    return DiscreteMechanism(tuple(f"o{i}" for i in range(n)), p0, p1)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        OrderSet([2.0, 4.0]),
+        OrderSet([1.5]),
+        default_order_set(),
+        OrderSet([2.0, 8.0, 64.0, 1024.0, 2.0**20, 3.0, 5.0]),  # r**alpha overflows
+    ],
+    ids=["2-orders", "1-order", "38-orders", "overflowing"],
+)
+def test_per_order_and_pass_forms_give_the_same_bits(orders, monkeypatch):
+    rng = random.Random(37)
+    mechs = [_spread_mechanism(rng, rng.randint(1, 6)) for _ in range(300)]
+
+    def curves(passes_from):
+        monkeypatch.setattr(mechanisms, "PASSES_FROM", passes_from)
+        return [[v.hex() for v in discrete_rdp_curve(m, orders).values] for m in mechs]
+
+    assert curves(1) == curves(len(orders) + 1)
 
 
 # ---------------------------------------------------------------- sampling

@@ -378,6 +378,174 @@ def test_truncation_oracle_on_random_corpus():
             assert verify_truncated_odometer(script, sched, f).ok
 
 
+# ------------------------------------------- one walk against per-order walks
+
+
+def _reference_filter(script, cap):
+    """verify_filter_bound as the per-order form: the views' logs aligned
+    again at each order, by `_symmetric_divergence`."""
+    if script.orders is not None and script.orders.orders != cap.orders.orders:
+        raise ValueError("script and cap use different order sets")
+    v0, v1 = enumerate_views(script, FilterPolicy(cap))
+    divergences = tuple(
+        oracle._symmetric_divergence(v0, v1, alpha) for alpha in cap.orders
+    )
+    return _reference_report("filter", cap.orders, divergences, cap.values, "any")
+
+
+def _reference_truncated(script, schedule, f):
+    """verify_truncated_odometer as the per-order form: one
+    `enumerate_views` walk under `TruncationPolicy` per order."""
+    if script.orders is not None and script.orders.orders != schedule.orders.orders:
+        raise ValueError("script and schedule use different order sets")
+    divergences = []
+    bounds = []
+    for alpha in schedule.orders:
+        v0, v1 = enumerate_views(script, TruncationPolicy(schedule, f, alpha))
+        divergences.append(oracle._symmetric_divergence(v0, v1, alpha))
+        bounds.append(schedule.level(f, alpha))
+    return _reference_report(
+        "truncated-odometer", schedule.orders, tuple(divergences), tuple(bounds), "all"
+    )
+
+
+def _reference_report(kind, orders, divergences, bounds, requirement):
+    margins = tuple(b - d for b, d in zip(bounds, divergences))
+    held = [m >= -oracle.VERIFY_TOL for m in margins]
+    return oracle.OracleReport(
+        kind=kind,
+        ok=all(held) if requirement == "all" else any(held),
+        orders=orders.orders,
+        divergences=divergences,
+        bounds=bounds,
+        margins=margins,
+        witness_order=next((a for a, h in zip(orders, held) if h), None),
+        requirement=requirement,
+    )
+
+
+def _outcome(check, *args):
+    """A report's JSON with every float as float.hex, or the exception's
+    type and message."""
+    try:
+        report = check(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    return {
+        key: [bits(x) for x in value] if isinstance(value, list) else bits(value)
+        for key, value in report.to_json().items()
+    }
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.5, 1e-5])
+@pytest.mark.parametrize(
+    "orders", [OrderSet([2.0, 4.0]), default_order_set()], ids=["2-orders", "38-orders"]
+)
+def test_one_walk_reports_are_the_per_order_reports(orders, delta):
+    rng = random.Random(31)
+    schedule = FilterSchedule(delta=delta, orders=orders)
+    scripts = [AdversaryScript(root=None)] + [
+        random_script(rng, orders, max_depth=rng.randint(1, 4)) for _ in range(6)
+    ]
+    for script in scripts:
+        for f in (1, 2, 3, 4):
+            got = _outcome(verify_truncated_odometer, script, schedule, f)
+            assert got == _outcome(_reference_truncated, script, schedule, f)
+        root = script.root or scripts[1].root  # the empty script borrows a cap
+        cap = RdpCurve(orders, tuple(rng.uniform(0.3, 3.0) * v for v in root.request.values))
+        assert _outcome(verify_filter_bound, script, cap) == _outcome(
+            _reference_filter, script, cap
+        )
+
+
+def _chain(mech, depth):
+    """Depth nodes deep, each the next one's parent through outcome "a",
+    each declaring its true curve on {2, 4}."""
+    orders = OrderSet([2.0, 4.0])
+    node = None
+    for _ in range(depth):
+        children = {} if node is None else {"a": node}
+        node = ScriptNode(mech, discrete_rdp_curve(mech, orders), children)
+    return AdversaryScript(root=node)
+
+
+# p1's 1e-90 underflows to 0 four levels down, where p0's 0.5**4 does not;
+# with p0's 1e-90 as well, the deep leaf is 0 in both worlds, in neither view
+_LOPSIDED = _chain(DiscreteMechanism(("a", "b"), (0.5, 0.5), (1e-90, 1.0)), 4)
+_BOTH_ZERO = _chain(DiscreteMechanism(("a", "b"), (1e-90, 1.0), (2e-90, 1.0)), 4)
+
+
+@pytest.mark.parametrize("f", [1, 8, 10, 20])
+@pytest.mark.parametrize("script", [_LOPSIDED, _BOTH_ZERO], ids=["lopsided", "both-zero"])
+def test_one_walk_underflowed_leaves_are_the_per_order_outcome(script, f):
+    schedule = FilterSchedule(delta=0.05, orders=script.orders)
+    got = _outcome(verify_truncated_odometer, script, schedule, f)
+    assert got == _outcome(_reference_truncated, script, schedule, f)
+    if script is _LOPSIDED and f == 20:  # every order reaches the deep leaf
+        assert got == (ValueError, "view supports differ; the divergence is infinite")
+    cap = RdpCurve(script.orders, (1e4, 1e4))
+    assert _outcome(verify_filter_bound, script, cap) == _outcome(
+        _reference_filter, script, cap
+    )
+
+
+def test_one_walk_admits_a_total_that_lands_on_its_level():
+    orders = OrderSet([2.0, 4.0])
+    schedule = FilterSchedule(delta=0.05, orders=orders)
+    at_level = RdpCurve(orders, tuple(schedule.level(1, alpha) for alpha in orders))
+    mech = rr(0.6)
+    child = ScriptNode(mech, discrete_rdp_curve(mech, orders))
+    script = AdversaryScript(root=ScriptNode(mech, at_level, {"a": child}))
+    for f in (1, 2):
+        got = _outcome(verify_truncated_odometer, script, schedule, f)
+        assert got == _outcome(_reference_truncated, script, schedule, f)
+    # admitted at f = 1: the root's outcomes are in the views
+    assert verify_truncated_odometer(script, schedule, 1).divergences[0] > 0.0
+
+
+def test_one_walk_checks_each_worlds_total_as_the_per_order_form():
+    mech = rr(0.6)
+    script = AdversaryScript(root=honest_node(mech, {"a": honest_node(rr(0.7))}))
+    # a world-1 distribution summing to 0.9, past the constructor's checks
+    object.__setattr__(script.root.children["a"].mech, "p1", (0.5, 0.4))
+    schedule = FilterSchedule(delta=0.5, orders=ORDERS)
+    got = _outcome(verify_truncated_odometer, script, schedule, 10)
+    assert got[0] is ArithmeticError and got[1].startswith("world-1 view probabilities")
+    assert got == _outcome(_reference_truncated, script, schedule, 10)
+
+
+@pytest.mark.parametrize("f", [0, -1, 65, True, 1.5, "2"])
+def test_one_walk_refuses_a_bad_filter_index_as_the_per_order_form(f):
+    script = random_script(random.Random(3), ORDERS)
+    schedule = FilterSchedule(delta=0.05, orders=ORDERS)
+    got = _outcome(verify_truncated_odometer, script, schedule, f)
+    assert got[0] is ValueError
+    assert got == _outcome(_reference_truncated, script, schedule, f)
+
+
+def test_one_walk_refuses_a_script_on_other_orders_as_the_per_order_form():
+    script = random_script(random.Random(3), ORDERS)
+    schedule = FilterSchedule(delta=0.05, orders=OrderSet([2.0, 4.0]))
+    got = _outcome(verify_truncated_odometer, script, schedule, 1)
+    assert got == (ValueError, "script and schedule use different order sets")
+    assert got == _outcome(_reference_truncated, script, schedule, 1)
+
+
+def test_truncation_check_walks_no_per_order_views(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_views was called")
+
+    script = random_script(random.Random(5), ORDERS)
+    schedule = FilterSchedule(delta=0.05, orders=ORDERS)
+    expected = _outcome(_reference_truncated, script, schedule, 2)
+    monkeypatch.setattr(oracle, "enumerate_views", refuse)
+    assert _outcome(verify_truncated_odometer, script, schedule, 2) == expected
+
+
 # -------------------------------------------------------------- quadrature
 
 
